@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionalUndefinedError, ConfigError
-from .grids import GridSpec, WaveField, _interp_values, complex_gradient
+from .grids import GridSpec, WaveField, _interp_values, _interp_weights, complex_gradient
 from .ensemble import (
     NodeEvents,
     PropagationResult,
@@ -110,17 +110,8 @@ def conditional_wavefunction(state: ConfigWaveField, particle: int,
     grid = state.grid
     other_axis = 1 - particle
     values = np.moveaxis(state.psi.values, other_axis, 0)
-    n = grid.points[other_axis]
-    h = grid.spacing[other_axis]
-    u = np.mod((other_position - grid.origin[other_axis]) / h, n)
-    j0 = int(np.floor(u))
-    w = u - j0
-    if w < 1e-9:
-        w = 0.0
-    elif w > 1 - 1e-9:
-        j0, w = j0 + 1, 0.0
-    j0 %= n
-    j1 = (j0 + 1) % n
+    j0, w = _interp_weights(grid, np.asarray(other_position, dtype=float), other_axis)
+    j1 = (j0 + 1) % grid.points[other_axis]
     slice_vals = (1.0 - w) * values[j0] + w * values[j1]
     line = grid.axis_line(particle)
     phi = WaveField(line, slice_vals)

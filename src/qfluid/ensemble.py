@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .grids import GridSpec, ScalarField, WaveField, complex_gradient, _interp_values
+from .grids import GridSpec, ScalarField, WaveField, complex_gradient, _interp_weights
 from .oracle import Potential, PropagatorState, split_step_evolve
 
 __all__ = [
@@ -84,6 +84,23 @@ class NodeEvents:
     evaluations: int = 0
     capped: int = 0
 
+    def record(self, flagged: np.ndarray):
+        """Count one batch of evaluations, flagged where the cap applied."""
+        self.evaluations += int(flagged.size)
+        self.capped += int(np.count_nonzero(flagged))
+
+
+@dataclass
+class _TrajectoryEvents(NodeEvents):
+    """NodeEvents that also remembers which trajectories were ever capped,
+    at any RK4 stage."""
+
+    ever_capped: np.ndarray | None = None
+
+    def record(self, flagged: np.ndarray):
+        super().record(flagged)
+        self.ever_capped |= flagged
+
 
 class VelocityField:
     """Sampled guiding velocity of one wave field.
@@ -92,42 +109,106 @@ class VelocityField:
     takes Im(grad/psi) afterwards. Doing the division after interpolation
     keeps factorized states exactly factorized, which the conditional
     wave-function machinery relies on.
+
+    psi and grad(psi) are kept only as split real tables, rows
+    [psi.re, psi.im, d0psi.re, d0psi.im, ...] (gradient rows pre-scaled by
+    hbar / m_i), each padded with one periodic cell per axis and flattened.
+    A lookup is one weight pass (grids._interp_weights) and a `take` of
+    every row at the flat indices of the cell corners, 2 in 1D and 4 in 2D,
+    with no index wrap thanks to the pad. The velocity is then
+    Im(g conj psi) / max(|psi|^2, floor) in real arithmetic, with
+    |psi|^2 = re^2 + im^2.
     """
 
     def __init__(self, psi: WaveField, hbar: float = 1.0, m: float = 1.0,
                  floor_fraction: float = NODE_FLOOR_FRACTION,
                  masses: tuple[float, ...] | None = None):
-        self.grid = psi.grid
-        self.psi_values = psi.values
-        self.grad_values = complex_gradient(psi)
+        grid = psi.grid
+        self.grid = grid
         self.hbar = hbar
         self.m = m
-        self.masses = masses if masses is not None else (m,) * psi.grid.dims
+        self.masses = masses if masses is not None else (m,) * grid.dims
         rho = np.abs(psi.values) ** 2
         self.rho_floor = floor_fraction * rho.max()
         self.v_max = tuple(
             hbar * np.pi / (mi * h)
-            for mi, h in zip(self.masses, self.grid.spacing)
+            for mi, h in zip(self.masses, grid.spacing)
         )
+        padded = tuple(n + 1 for n in grid.points)
+        tables = np.empty((2 + 2 * grid.dims,) + padded)
+        body = tuple(slice(0, n) for n in grid.points)
+        scales = (1.0,) + tuple(hbar / mi for mi in self.masses)
+        for k, values in enumerate((psi.values,) + complex_gradient(psi)):
+            np.multiply(values.real, scales[k], out=tables[2 * k][body])
+            np.multiply(values.imag, scales[k], out=tables[2 * k + 1][body])
+        # periodic pad; the 2D corner cell is filled by the second pass
+        for axis, n in enumerate(grid.points):
+            lead = (slice(None),) * (axis + 1)
+            tables[lead + (n,)] = tables[lead + (0,)]
+        self._tables = tables.reshape(len(tables), -1)
+        # flat-index step of one cell along x on the padded 2D table
+        self._row = padded[-1]
 
     def at(self, positions: np.ndarray, events: NodeEvents | None = None) -> np.ndarray:
         """Velocity components at the given positions, shape (n, dims)."""
-        pos = np.asarray(positions, dtype=float)
-        psi_here = _interp_values(self.psi_values, self.grid, pos)
-        rho_here = np.abs(psi_here) ** 2
-        flagged = rho_here < self.rho_floor
-        denom = np.maximum(rho_here, self.rho_floor)
-        comps = []
-        for i in range(self.grid.dims):
-            g_here = _interp_values(self.grad_values[i], self.grid, pos)
-            v = (self.hbar / self.masses[i]) * np.imag(g_here * np.conj(psi_here)) / denom
-            v = np.where(flagged, np.clip(v, -self.v_max[i], self.v_max[i]), v)
-            comps.append(v)
+        v, flagged = self._velocity(positions)
         if events is not None:
-            events.evaluations += int(flagged.size)
-            events.capped += int(np.count_nonzero(flagged))
-        out = np.stack(comps, axis=-1)
-        return out[..., 0] if self.grid.dims == 1 else out
+            events.record(flagged)
+        return v
+
+    def _lerp(self, index: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """(1 - w) * rows at index + w * rows at index + 1, every table at
+        once: the lerp of grids._interp_values, term for term."""
+        # one gather of both ends keeps a single large temporary alive; the
+        # indices are in range, and numpy's "wrap" mode gathers faster
+        ends = np.take(self._tables, index + np.array([[0], [1]]), axis=1,
+                       mode="wrap")
+        lower, upper = ends[:, 0], ends[:, 1]
+        lower *= 1.0 - w
+        upper *= w
+        lower += upper
+        return lower
+
+    def _velocity(self, positions) -> tuple[np.ndarray, np.ndarray]:
+        """Velocity shaped like positions, and the per-point cap flags."""
+        pos = np.asarray(positions, dtype=float)
+        grid = self.grid
+        if grid.dims == 1:
+            i0, w = _interp_weights(grid, pos.reshape(-1), 0)
+            here = self._lerp(i0, w)
+            point_shape = pos.shape
+        else:
+            pts = pos.reshape(-1, 2)
+            i0, wx = _interp_weights(grid, pts[:, 0], 0)
+            j0, wy = _interp_weights(grid, pts[:, 1], 1)
+            # along y on the two bracketing x lines first, then along x
+            c00 = i0 * self._row + j0
+            here = self._lerp(c00, wy)
+            here *= 1.0 - wx
+            upper = self._lerp(c00 + self._row, wy)
+            upper *= wx
+            here += upper
+            point_shape = pos.shape[:-1]
+        pr, pi = here[0], here[1]
+        rho = pr * pr
+        rho += pi * pi
+        capped = rho.size > 0 and rho.min() < self.rho_floor
+        if capped:
+            flagged = rho < self.rho_floor
+            np.maximum(rho, self.rho_floor, out=rho)
+        else:
+            flagged = np.zeros(rho.shape, dtype=bool)
+        comps = []
+        for i in range(grid.dims):
+            # Im(g conj psi), g already scaled by hbar / m_i
+            v = here[3 + 2 * i] * pr
+            v -= here[2 + 2 * i] * pi
+            v /= rho
+            if capped:
+                np.clip(v, -self.v_max[i], self.v_max[i], out=v, where=flagged)
+            comps.append(v)
+        out = comps[0] if grid.dims == 1 else np.stack(comps, axis=-1)
+        return out.reshape(pos.shape), flagged.reshape(point_shape)
 
 
 def guiding_velocity(psi: WaveField, x, hbar: float = 1.0, m: float = 1.0,
@@ -257,6 +338,25 @@ class OracleTimeline:
         return self._velocities[j]
 
 
+def _shift_in(pos: np.ndarray, grid: GridSpec, exact: bool = False) -> np.ndarray:
+    """Move positions that left the domain by less than one period back in
+    with a conditional +-extent shift, in place and without a float mod.
+
+    Lookups do not need it (the weight routine reduces any point), it only
+    keeps them on the weight routine's fast path. exact=True falls back to
+    the mod for any point still outside, so stored positions always lie in
+    the domain.
+    """
+    columns = (pos,) if grid.dims == 1 else (pos[:, 0], pos[:, 1])
+    for i, col in enumerate(columns):
+        lo, period = grid.origin[i], grid.extent[i]
+        np.subtract(col, period, out=col, where=col >= lo + period)
+        np.add(col, period, out=col, where=col < lo)
+        if exact and col.size and not (col.min() >= lo and col.max() < lo + period):
+            col[...] = grid.wrap(col, i)
+    return pos
+
+
 @dataclass(frozen=True)
 class PropagationResult:
     """Propagated ensemble plus node-capping statistics."""
@@ -275,8 +375,12 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
 
     The timeline (stored WaveTimeline or streaming OracleTimeline) must sit
     on the dt/2 lattice so the sub-stages hit stored fields exactly.
-    Positions wrap periodically. Runs where more than 0.1% of trajectories
-    ever hit the near-node velocity cap are marked degraded and should be
+    Positions wrap periodically: stage and step positions move far less than
+    one period, so a conditional +-extent shift brings them back into the
+    domain without a float mod (a step end still outside after the shift
+    falls back to the mod). A trajectory counts as capped when any of its
+    four RK4 stage evaluations hits the near-node velocity cap; runs where
+    more than 0.1% of trajectories ever do are marked degraded and should be
     excluded from acceptance statistics. t_start defaults to the timeline
     origin; pass a later lattice time to continue a previous propagation.
     """
@@ -286,36 +390,24 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
         raise ConfigError("timeline half-step must equal dt/2")
     grid = ens.grid
     x = np.array(ens.positions, dtype=float)
-    events = NodeEvents()
-    ever_capped = np.zeros(ens.size, dtype=bool)
+    events = _TrajectoryEvents(ever_capped=np.zeros(ens.size, dtype=bool))
     history = [x.copy()] if record_history else None
     t = timeline.t0 if t_start is None else t_start
-
-    def wrap(pos):
-        if grid.dims == 1:
-            return grid.wrap(pos, 0)
-        return np.stack([grid.wrap(pos[:, i], i) for i in range(2)], axis=-1)
 
     for n in range(steps):
         v0 = timeline.velocity(t)
         vh = timeline.velocity(t + dt / 2.0)
         v1 = timeline.velocity(t + dt)
-        before = events.capped
         k1 = v0.at(x, events)
-        k2 = vh.at(wrap(x + 0.5 * dt * k1), events)
-        k3 = vh.at(wrap(x + 0.5 * dt * k2), events)
-        k4 = v1.at(wrap(x + dt * k3), events)
-        if events.capped > before:
-            # re-evaluate per-trajectory flags only when something capped
-            rho_floor = v0.rho_floor
-            psi_here = _interp_values(v0.psi_values, grid, x)
-            ever_capped |= np.abs(psi_here) ** 2 < rho_floor
-        x = wrap(x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4))
+        k2 = vh.at(_shift_in(x + 0.5 * dt * k1, grid), events)
+        k3 = vh.at(_shift_in(x + 0.5 * dt * k2, grid), events)
+        k4 = v1.at(_shift_in(x + dt * k3, grid), events)
+        x = _shift_in(x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), grid, exact=True)
         t += dt
         if record_history:
             history.append(x.copy())
 
-    capped_count = int(ever_capped.sum())
+    capped_count = int(events.ever_capped.sum())
     out = replace(
         ens,
         positions=x,
@@ -323,7 +415,7 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
     )
     return PropagationResult(
         ensemble=out,
-        events=events,
+        events=NodeEvents(events.evaluations, events.capped),
         capped_trajectories=capped_count,
         degraded=capped_count > DEGRADED_CAP_FRACTION * ens.size,
     )
@@ -437,6 +529,31 @@ class HistogramGrid:
         return cls(grid=grid, bins=bins, counts=counts.astype(float))
 
 
+def _bin_index(grid: GridSpec, positions: np.ndarray,
+               bins: tuple[int, ...]) -> np.ndarray:
+    """Flat (row-major) bin of each position on the bins of
+    HistogramGrid.from_positions, or prod(bins) outside every bin.
+
+    Same wrap and same rule as np.histogram / np.histogram2d on the explicit
+    edges there: bins are half-open [e_k, e_k+1) except the last, which also
+    holds its upper edge.
+    """
+    pos = np.asarray(positions, dtype=float)
+    columns = [pos] if grid.dims == 1 else [pos[:, 0], pos[:, 1]]
+    flat = np.zeros(columns[0].shape, dtype=np.int64)
+    outside = np.zeros(columns[0].shape, dtype=bool)
+    for i, (col, b) in enumerate(zip(columns, bins)):
+        low, extent = grid.origin[i] - grid.spacing[i] / 2, grid.extent[i]
+        edges = low + (extent / b) * np.arange(b + 1)
+        wrapped = low + np.mod(col - low, extent)
+        k = np.searchsorted(edges, wrapped, side="right") - 1
+        k[wrapped == edges[-1]] = b - 1
+        outside |= (k < 0) | (k >= b)
+        flat = flat * b + k
+    flat[outside] = int(np.prod(bins))
+    return flat
+
+
 def _bin_average(values: np.ndarray, grid: GridSpec, bins: tuple[int, ...]) -> np.ndarray:
     """Average a grid field over equal bins (bin counts must divide points)."""
     for n, b in zip(grid.points, bins):
@@ -473,7 +590,10 @@ def coarse_grained_H(ens: TrajectoryEnsemble, psi: WaveField,
     grid = ens.grid
     bins = tuple(n // cell_size for n in grid.points)
     hist = HistogramGrid.from_positions(grid, ens.positions, bins)
-    rho_bar = _bin_average(psi.density().values, grid, bins)
+    return _relative_entropy(hist, _bin_average(psi.density().values, grid, bins))
+
+
+def _relative_entropy(hist: HistogramGrid, rho_bar: np.ndarray) -> float:
     p_bar = hist.density
     mask = p_bar > 0
     ratio = p_bar[mask] / np.maximum(rho_bar[mask], 1e-300)
@@ -483,14 +603,25 @@ def coarse_grained_H(ens: TrajectoryEnsemble, psi: WaveField,
 def bootstrap_coarse_H(ens: TrajectoryEnsemble, psi: WaveField,
                        cell_size: int, n_boot: int = 200,
                        seed: int = 0) -> tuple[float, float, float]:
-    """H estimate with a bootstrap 95% band (resampling trajectories)."""
+    """H estimate with a bootstrap 95% band (resampling trajectories).
+
+    Each trajectory's bin is assigned once; a resample then only redraws
+    the trajectory indices and counts their bins, which gives the same
+    histogram as re-binning the resampled positions.
+    """
     h_value = coarse_grained_H(ens, psi, cell_size)
+    grid = ens.grid
+    bins = tuple(n // cell_size for n in grid.points)
+    rho_bar = _bin_average(psi.density().values, grid, bins)
+    flat = _bin_index(grid, ens.positions, bins)
+    size = int(np.prod(bins))
     rng = np.random.default_rng(seed)
     n = ens.size
     samples = np.empty(n_boot)
     for b in range(n_boot):
         idx = rng.integers(0, n, size=n)
-        resampled = replace(ens, positions=ens.positions[idx], history=None)
-        samples[b] = coarse_grained_H(resampled, psi, cell_size)
+        counts = np.bincount(flat[idx], minlength=size + 1)[:size].reshape(bins)
+        hist = HistogramGrid(grid=grid, bins=bins, counts=counts.astype(float))
+        samples[b] = _relative_entropy(hist, rho_bar)
     lo, hi = np.percentile(samples, [2.5, 97.5])
     return h_value, float(lo), float(hi)

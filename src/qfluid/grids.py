@@ -354,19 +354,32 @@ def fd_second_derivative(values: np.ndarray, grid: GridSpec, axis: int) -> np.nd
 
 
 def _interp_weights(grid: GridSpec, x: np.ndarray, axis: int):
-    """Lower node index and fractional offset along one axis, periodic."""
+    """Lower node index in [0, n) and fractional offset along one axis, periodic.
+
+    The only weight routine: every point lookup (sample_at, conditional
+    slices, velocity fields) goes through it, so the node snap lives here.
+    The float mod runs only when some point lies outside [0, n) cells and
+    the snap masks only when some point sits within _NODE_SNAP of a node;
+    otherwise both would change nothing, so skipping them keeps every
+    result bit for bit.
+    """
     n = grid.points[axis]
-    h = grid.spacing[axis]
-    u = np.mod((x - grid.origin[axis]) / h, n)
-    i0 = np.floor(u).astype(np.int64)
-    frac = u - i0
-    # snap to nodes so stored values are reproduced exactly there
-    lo = frac < _NODE_SNAP
-    hi = frac > 1.0 - _NODE_SNAP
-    frac = np.where(lo, 0.0, frac)
-    i0 = np.where(hi, i0 + 1, i0)
-    frac = np.where(hi, 0.0, frac)
-    i0 = np.mod(i0, n)
+    u = x - grid.origin[axis]
+    u /= grid.spacing[axis]
+    if np.size(u) == 0:
+        return np.zeros(np.shape(u), dtype=np.int64), u
+    # negated tests send NaN down the slow path, as before the fast path
+    if not (u.min() >= 0.0 and u.max() < n):
+        u = np.mod(u, n)
+    lower = np.floor(u)
+    frac = u
+    frac -= lower
+    i0 = lower.astype(np.int64)
+    if not (frac.min() >= _NODE_SNAP and frac.max() <= 1.0 - _NODE_SNAP):
+        # snap to nodes so stored values are reproduced exactly there
+        hi = frac > 1.0 - _NODE_SNAP
+        frac = np.where((frac < _NODE_SNAP) | hi, 0.0, frac)
+        i0 = np.mod(np.where(hi, i0 + 1, i0), n)
     return i0, frac
 
 

@@ -15,7 +15,7 @@ Numerical notes. The equations are singular at density nodes, so a relative
 density floor applies throughout and residual metrics exclude near-node
 regions. The phase S is generally *not* periodic even when psi is (plane
 waves wind, spreading packets have quadratic phase), so S and velocity
-derivatives use 4th-order centered stencils: their seam artifacts stay local
+derivatives use 8th-order centered stencils: their seam artifacts stay local
 to the underflowed tail instead of polluting the whole domain the way
 spectral differentiation of a kinked function does. Amplitude-derived
 quantities (sqrt(rho), fluxes, psi itself) are periodic and smooth and use

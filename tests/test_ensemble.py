@@ -5,7 +5,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from qfluid.errors import ConfigError
-from qfluid.grids import GridSpec, ScalarField, WaveField, divergence, VectorField
+from qfluid.grids import (
+    GridSpec,
+    ScalarField,
+    VectorField,
+    WaveField,
+    complex_gradient,
+    divergence,
+    sample_at,
+)
 from qfluid.madelung import velocity_from_wave
 from qfluid.oracle import (
     Potential,
@@ -20,6 +28,7 @@ from qfluid.ensemble import (
     NodeEvents,
     OracleTimeline,
     TrajectoryEnsemble,
+    VelocityField,
     WaveTimeline,
     bootstrap_coarse_H,
     coarse_grained_H,
@@ -61,8 +70,6 @@ class TestGuidingVelocity:
         assert abs(v_t[0] - pc) <= 5e-3  # interpolation-order agreement
 
     def test_matches_decomposed_velocity_field(self, grid512):
-        from qfluid.grids import sample_at
-
         psi = coherent_state(grid512, 1.0, 2.0, t=0.4)
         field = velocity_from_wave(psi)
         pts = np.linspace(-3.0, 3.0, 11)
@@ -145,6 +152,33 @@ class TestPropagation:
         ens = TrajectoryEnsemble(grid=grid512, positions=np.zeros(10), seed=0)
         res = propagate_ensemble(ens, tl, 0.001, 3)
         assert res.events.capped > 0
+        assert res.degraded
+
+    def test_stage_caps_mark_the_trajectory(self, grid512, harmonic512):
+        # the start point is clear of the density floor, but the first
+        # midpoint stage lands on the node of the first excited state (x = 0,
+        # a grid node); a uniform phase twist gives the state a drift
+        psi1 = stationary_states(harmonic512, 2)[1][1]
+        k = 2 * np.pi * 4 / grid512.extent[0]
+        psi = WaveField(grid512, psi1.values * np.exp(1j * k * grid512.axis(0)))
+        dt = 0.5
+        field = VelocityField(psi)
+
+        def stage(x0):
+            return x0 + 0.5 * dt * field.at(np.array([x0]))[0]
+
+        lo, hi = -0.5, -0.05  # bisect for stage(x0) = 0
+        for _ in range(100):
+            mid = 0.5 * (lo + hi)
+            lo, hi = (mid, hi) if stage(mid) < 0 else (lo, mid)
+        assert abs(stage(hi)) <= 1e-15
+        clear = NodeEvents()
+        field.at(np.array([hi]), clear)
+        assert clear.capped == 0
+        ens = TrajectoryEnsemble(grid=grid512, positions=np.array([hi]), seed=0)
+        res = propagate_ensemble(ens, static_timeline(psi, dt, 1), dt, 1)
+        assert res.events.capped >= 1
+        assert res.capped_trajectories == 1
         assert res.degraded
 
     def test_misaligned_dt_rejected(self, grid512, ground512):
@@ -293,6 +327,77 @@ class TestCoarseGrainedH:
         assert hi - lo <= 0.05
 
 
+def _bootstrap_by_rehistogram(ens, psi, cell_size, n_boot, seed):
+    """Reference: the bootstrap as a full re-histogram of every resample."""
+    grid = ens.grid
+    bins = tuple(n // cell_size for n in grid.points)
+    lows = [grid.origin[i] - grid.spacing[i] / 2 for i in range(grid.dims)]
+    edges = [lows[i] + (grid.extent[i] / bins[i]) * np.arange(bins[i] + 1)
+             for i in range(grid.dims)]
+    rho = psi.density().values
+    if grid.dims == 1:
+        rho_bar = rho.reshape(bins[0], -1).mean(axis=1)
+    else:
+        rho_bar = rho.reshape(bins[0], grid.points[0] // bins[0],
+                              bins[1], grid.points[1] // bins[1]).mean(axis=(1, 3))
+    bin_volume = float(np.prod([L / b for L, b in zip(grid.extent, bins)]))
+
+    def coarse_H(pos):
+        if grid.dims == 1:
+            wrapped = lows[0] + np.mod(pos - lows[0], grid.extent[0])
+            counts, _ = np.histogram(wrapped, bins=edges[0])
+        else:
+            wx = lows[0] + np.mod(pos[:, 0] - lows[0], grid.extent[0])
+            wy = lows[1] + np.mod(pos[:, 1] - lows[1], grid.extent[1])
+            counts, _, _ = np.histogram2d(wx, wy, bins=edges)
+        counts = counts.astype(float)
+        p_bar = counts / (counts.sum() * bin_volume)
+        mask = p_bar > 0
+        ratio = p_bar[mask] / np.maximum(rho_bar[mask], 1e-300)
+        return float(np.sum(p_bar[mask] * np.log(ratio)) * bin_volume)
+
+    rng = np.random.default_rng(seed)
+    n = ens.size
+    samples = [coarse_H(ens.positions[rng.integers(0, n, size=n)])
+               for _ in range(n_boot)]
+    lo, hi = np.percentile(samples, [2.5, 97.5])
+    return coarse_H(ens.positions), float(lo), float(hi)
+
+
+def _on_last_edge(grid, axis):
+    """A position that wraps exactly onto the upper edge of the last bin."""
+    low = grid.origin[axis] - grid.spacing[axis] / 2
+    x = np.nextafter(low, -np.inf)
+    assert low + np.mod(x - low, grid.extent[axis]) == low + grid.extent[axis]
+    return x
+
+
+def test_bootstrap_matches_rehistogram_1d(grid512, ground512):
+    rng = np.random.default_rng(3)
+    positions = rng.normal(0.0, 1.3, 3000)
+    positions[:3] = [_on_last_edge(grid512, 0), 40.0, -30.0]
+    positions[3:8] = -12.0 - grid512.spacing[0] / 2 + 3.0 * np.arange(1, 6)  # bin edges
+    ens = TrajectoryEnsemble(grid=grid512, positions=positions, seed=0)
+    got = bootstrap_coarse_H(ens, ground512, 8, n_boot=60, seed=4)
+    assert got == _bootstrap_by_rehistogram(ens, ground512, 8, 60, 4)
+
+
+def test_bootstrap_matches_rehistogram_2d():
+    grid = GridSpec.centered((20.0, 20.0), (128, 128))
+    xx, yy = grid.meshgrid()
+    psi = WaveField(grid, np.exp(-(xx**2 + yy**2) / 4 + 0.5j * xx)).normalized()
+    rng = np.random.default_rng(5)
+    positions = rng.uniform(-3.0, 3.0, (3000, 2))
+    positions[0] = (_on_last_edge(grid, 0), 0.3)
+    positions[1] = (-0.7, _on_last_edge(grid, 1))
+    positions[2] = (12.5, -31.0)
+    positions[3:8, 0] = -10.0 - grid.spacing[0] / 2 + 1.25 * np.arange(5, 10)  # bin edges
+    positions[3:8, 1] = -10.0 - grid.spacing[1] / 2 + 1.25 * np.arange(6, 11)
+    ens = TrajectoryEnsemble(grid=grid, positions=positions, seed=0)
+    got = bootstrap_coarse_H(ens, psi, 8, n_boot=60, seed=6)
+    assert got == _bootstrap_by_rehistogram(ens, psi, 8, 60, 6)
+
+
 def test_histogram_density_normalized():
     grid = GridSpec.regular(16.0, 256)
     rng = np.random.default_rng(9)
@@ -320,3 +425,98 @@ def test_sampled_ensembles_stay_in_domain(n, seed):
     rho = ScalarField(grid, np.exp(-(x**2) / 2)).normalized()
     ens = sample_equilibrium(rho, n, seed)
     assert (ens.positions >= -8.0).all() and (ens.positions < 8.0).all()
+
+
+def _reference_velocity(psi, positions, hbar, m):
+    """Im(grad psi / psi) from sample_at on psi and complex_gradient(psi),
+    floored and capped at near-node points the way VelocityField is."""
+    grid = psi.grid
+    here = sample_at(psi, positions)
+    rho = np.abs(here) ** 2
+    floor = 1e-12 * (np.abs(psi.values) ** 2).max()
+    flagged = rho < floor
+    comps = []
+    for i, g in enumerate(complex_gradient(psi)):
+        v = (hbar / m) * np.imag(sample_at(WaveField(grid, g), positions)
+                                 * np.conj(here)) / np.maximum(rho, floor)
+        v_max = hbar * np.pi / (m * grid.spacing[i])
+        comps.append(np.where(flagged, np.clip(v, -v_max, v_max), v))
+    v = comps[0] if grid.dims == 1 else np.stack(comps, axis=-1)
+    return v, int(np.count_nonzero(flagged))
+
+
+def _band_limited_wave(grid, seed, real):
+    """A smooth periodic field from a few random low Fourier modes."""
+    rng = np.random.default_rng(seed)
+    coeffs = np.zeros(grid.shape, dtype=complex)
+    low = tuple(slice(0, 4) for _ in range(grid.dims))
+    coeffs[low] = rng.normal(size=coeffs[low].shape) + 1j * rng.normal(size=coeffs[low].shape)
+    values = np.fft.ifftn(coeffs)
+    return WaveField(grid, values.real if real else values)
+
+
+_LINE = GridSpec.centered(24.0, 256)
+_PLANE = GridSpec.centered((20.0, 16.0), (64, 32))
+
+
+def _coordinates(grid, axis):
+    """Generic points plus nodes, the last representable in-domain point
+    and points outside the domain on both sides."""
+    lo, L, h = grid.origin[axis], grid.extent[axis], grid.spacing[axis]
+    return st.one_of(
+        st.floats(lo - 2 * L, lo + 3 * L, allow_nan=False),
+        st.integers(0, grid.points[axis] - 1).map(lambda j: lo + j * h),
+        st.just(float(np.nextafter(lo + L, -np.inf))),
+        st.just(lo),
+        st.floats(lo - L, lo, exclude_max=True),
+        st.floats(lo + L, lo + 2 * L),
+    )
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.sampled_from([1.0, 0.7]), real=st.booleans(),
+       xs=st.lists(_coordinates(_LINE, 0), min_size=1, max_size=40))
+def test_fused_lookup_matches_reference_1d(seed, m, real, xs):
+    psi = _band_limited_wave(_LINE, seed, real)
+    positions = np.array(xs)
+    events = NodeEvents()
+    got = VelocityField(psi, m=m).at(positions, events)
+    want, capped = _reference_velocity(psi, positions, 1.0, m)
+    if real:  # a real field is exactly static
+        assert np.all(got == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+    assert (events.evaluations, events.capped) == (positions.size, capped)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 10_000), m=st.sampled_from([1.0, 0.7]), real=st.booleans(),
+       pts=st.lists(st.tuples(_coordinates(_PLANE, 0), _coordinates(_PLANE, 1)),
+                    min_size=1, max_size=40))
+def test_fused_lookup_matches_reference_2d(seed, m, real, pts):
+    psi = _band_limited_wave(_PLANE, seed, real)
+    positions = np.array(pts)
+    events = NodeEvents()
+    got = VelocityField(psi, m=m).at(positions, events)
+    want, capped = _reference_velocity(psi, positions, 1.0, m)
+    assert got.shape == positions.shape
+    if real:
+        assert np.all(got == 0.0)
+    assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+    assert (events.evaluations, events.capped) == (len(pts), capped)
+
+
+def test_fused_lookup_node_cap_and_events(grid512, harmonic512):
+    # the first excited state has its node on the grid node at the origin;
+    # points at and next to it are flagged and capped as before
+    psi = stationary_states(harmonic512, 2)[1][1]
+    twisted = WaveField(grid512, psi.values * np.exp(0.5j * grid512.axis(0)))
+    h = grid512.spacing[0]
+    positions = np.array([0.0, 1e-12, -1e-12, 0.3 * h, 2.0, -3.0])
+    for field in (psi, twisted):
+        events = NodeEvents()
+        got = VelocityField(field).at(positions, events)
+        want, capped = _reference_velocity(field, positions, 1.0, 1.0)
+        assert capped >= 3
+        assert (events.evaluations, events.capped) == (positions.size, capped)
+        assert np.abs(got).max() <= np.pi / h
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
