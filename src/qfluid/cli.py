@@ -81,11 +81,12 @@ def main(argv=None) -> int:
                 print(f"INTEGRITY {err}")
             print("overall: " + ("PASS" if summary.ok else "FAIL"))
             return EXIT_PASS if summary.ok else EXIT_FAIL
-    except QFluidError as exc:
+    except (QFluidError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, TypeError, ZeroDivisionError) as exc:
+        # a config value of the wrong type or range that no check caught
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE
 

@@ -391,6 +391,15 @@ def _scenario_twofluid_verify(cfg: ExperimentConfig, outdir: Path):
     return metrics, criteria, outputs, 0
 
 
+def _check_checkpoints(checkpoints: int, steps: int):
+    """Each checkpoint closes a chunk of steps // checkpoints steps, so a
+    chunk of zero steps would report a metric for no evolution at all."""
+    if not 1 <= checkpoints <= steps:
+        raise ConfigError(
+            f"checkpoints must be between 1 and steps ({steps}), got {checkpoints}"
+        )
+
+
 def _scenario_equivariance(cfg: ExperimentConfig, outdir: Path):
     hbar, m = cfg.constants()
     omega = float(cfg.get("constants", {}).get("omega", 1.0))
@@ -399,6 +408,7 @@ def _scenario_equivariance(cfg: ExperimentConfig, outdir: Path):
     steps = int(cfg.get("steps", 640))
     bins = int(cfg.get("bins", 64))
     checkpoints = int(cfg.get("checkpoints", 10))
+    _check_checkpoints(checkpoints, steps)
     seed = int(cfg.get("seed", 42))
 
     potential = Potential.harmonic(grid, omega, m)
@@ -469,6 +479,7 @@ def _scenario_relaxation(cfg: ExperimentConfig, outdir: Path):
     steps = int(cfg.get("steps", 1200))
     cell = int(cfg.get("cell_size", 8))
     checkpoints = int(cfg.get("checkpoints", 10))
+    _check_checkpoints(checkpoints, steps)
     phase_seed = int(cfg.get("phase_seed", 2))
     seed = int(cfg.get("seed", 102))
     start_half_width = float(cfg.get("start_half_width", 2.5))

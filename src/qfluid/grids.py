@@ -125,6 +125,20 @@ class GridSpec:
         """Angular wavenumbers 2*pi*fftfreq along axis i."""
         return 2.0 * np.pi * np.fft.fftfreq(self.points[i], d=self.spacing[i])
 
+    def k_squared(self) -> np.ndarray:
+        """|k|^2 on the grid, summed axis by axis; computed once per grid
+        and returned read-only."""
+        k2 = self.__dict__.get("_k_squared")
+        if k2 is None:
+            k2 = np.zeros(self.shape)
+            for axis in range(self.dims):
+                shape = [1] * self.dims
+                shape[axis] = self.points[axis]
+                k2 = k2 + self.wavenumbers(axis).reshape(shape) ** 2
+            k2.setflags(write=False)
+            object.__setattr__(self, "_k_squared", k2)
+        return k2
+
     def axis_line(self, i: int) -> "GridSpec":
         """The 1D grid along axis i of a 2D grid."""
         return GridSpec(
@@ -273,13 +287,7 @@ def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int) -> np.nd
 
 
 def _spectral_laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:
-    k2 = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        k = grid.wavenumbers(axis)
-        shape = [1] * grid.dims
-        shape[axis] = grid.points[axis]
-        k2 = k2 + k.reshape(shape) ** 2
-    out = np.fft.ifftn(np.fft.fftn(values) * (-k2))
+    out = np.fft.ifftn(np.fft.fftn(values) * (-grid.k_squared()))
     return out.real if not np.iscomplexobj(values) else out
 
 
@@ -328,28 +336,43 @@ def complex_gradient(psi: WaveField) -> tuple[np.ndarray, ...]:
 # rounding stays relative to the local value (a spectral transform imposes an
 # absolute noise floor that swamps deep density tails), and artifacts from
 # non-periodic data stay within four cells instead of polluting the domain.
+# Both stencils read one copy of the input padded with four periodic ghost
+# cells at each end of the derivative axis: the neighbour at offset o is
+# then a plain slice of that copy, bit for bit np.roll(values, -o, axis),
+# and the terms are summed in the same order as the roll formulation.
 _D1_W = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
 _D2_W0 = -205.0 / 72.0
 _D2_W = (8.0 / 5.0, -1.0 / 5.0, 8.0 / 315.0, -1.0 / 560.0)
+_GHOST = len(_D1_W)
+
+
+def _ghost_shifts(values: np.ndarray, axis: int):
+    """shift(o)[i] == values[(i + o) mod n] along axis, for |o| <= _GHOST,
+    as views of one ghost-padded copy."""
+    n = values.shape[axis]
+    lead = (slice(None),) * axis
+    padded = np.concatenate((values[lead + (slice(n - _GHOST, n),)], values,
+                             values[lead + (slice(0, _GHOST),)]), axis=axis)
+    return lambda o: padded[lead + (slice(_GHOST + o, _GHOST + o + n),)]
 
 
 def fd_derivative(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
     """8th-order centered first derivative with periodic wrap."""
     h = grid.spacing[axis]
+    shift = _ghost_shifts(values, axis)
     out = np.zeros_like(values)
     for offset, w in enumerate(_D1_W, start=1):
-        out += w * (np.roll(values, -offset, axis=axis)
-                    - np.roll(values, offset, axis=axis))
+        out += w * (shift(offset) - shift(-offset))
     return out / h
 
 
 def fd_second_derivative(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
     """8th-order centered second derivative with periodic wrap."""
     h = grid.spacing[axis]
-    out = _D2_W0 * values.copy()
+    shift = _ghost_shifts(values, axis)
+    out = _D2_W0 * values
     for offset, w in enumerate(_D2_W, start=1):
-        out += w * (np.roll(values, -offset, axis=axis)
-                    + np.roll(values, offset, axis=axis))
+        out += w * (shift(offset) + shift(-offset))
     return out / h**2
 
 

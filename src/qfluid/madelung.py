@@ -131,12 +131,7 @@ def decompose(psi: WaveField, hbar: float = 1.0, m: float = 1.0) -> MadelungStat
         s_vals = hbar * np.unwrap(np.angle(psi.values))
     else:
         rhs = divergence(VectorField(grid, tuple(m * c for c in v.components)))
-        k2 = np.zeros(grid.shape)
-        for axis in range(2):
-            k = grid.wavenumbers(axis)
-            shape = [1, 1]
-            shape[axis] = grid.points[axis]
-            k2 = k2 + k.reshape(shape) ** 2
+        k2 = grid.k_squared().copy()
         k2[0, 0] = 1.0
         s_hat = np.fft.fftn(rhs.values) / (-k2)
         s_hat[0, 0] = 0.0

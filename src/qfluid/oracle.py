@@ -109,19 +109,35 @@ class PropagatorState:
         return self.psi.norm()
 
 
-def _kinetic_phase(grid: GridSpec, dt: float, hbar: float, m: float) -> np.ndarray:
-    k2 = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        k = grid.wavenumbers(axis)
-        shape = [1] * grid.dims
-        shape[axis] = grid.points[axis]
-        k2 = k2 + k.reshape(shape) ** 2
-    return np.exp(-1j * hbar * k2 * dt / (2.0 * m))
+# (id(potential), dt, hbar, m) -> (potential, half_v, kin). Each entry holds
+# its potential, so the id in its key cannot be reused by another object,
+# and potential values are frozen, so the phases never go stale.
+_PHASE_CACHE: dict[tuple, tuple] = {}
+_PHASE_CACHE_SIZE = 4
+
+
+def _split_phases(potential: Potential, dt: float, hbar: float, m: float):
+    """Half potential phase and kinetic phase of one Strang step, cached."""
+    key = (id(potential), dt, hbar, m)
+    hit = _PHASE_CACHE.get(key)
+    if hit is None:
+        if len(_PHASE_CACHE) >= _PHASE_CACHE_SIZE:
+            _PHASE_CACHE.pop(next(iter(_PHASE_CACHE)))
+        half_v = np.exp(-0.5j * potential.values * dt / hbar)
+        kin = np.exp(-1j * hbar * potential.grid.k_squared() * dt / (2.0 * m))
+        half_v.setflags(write=False)
+        kin.setflags(write=False)
+        hit = _PHASE_CACHE[key] = (potential, half_v, kin)
+    return hit[1], hit[2]
 
 
 def split_step_evolve(state: PropagatorState, potential: Potential,
                       steps: int) -> PropagatorState:
     """Advance `steps` Strang-split steps of size state.dt.
+
+    The two phase factors of a step depend only on the potential, dt,
+    hbar and m; they are kept in a small cache, so the one-step calls
+    the timelines make do not rebuild two complex exponentials each time.
 
     Aborts with UnitarityError if the norm drifts by more than 1e-6,
     which for this scheme only happens on corrupted input.
@@ -129,9 +145,8 @@ def split_step_evolve(state: PropagatorState, potential: Potential,
     if potential.grid != state.psi.grid:
         raise ConfigError("potential and wave field live on different grids")
     dt, hbar, m = state.dt, state.hbar, state.m
-    half_v = np.exp(-0.5j * potential.values * dt / hbar)
-    kin = _kinetic_phase(state.psi.grid, dt, hbar, m)
-    psi = state.psi.values.copy()
+    half_v, kin = _split_phases(potential, dt, hbar, m)
+    psi = state.psi.values
     cellvol = state.psi.grid.cell_volume
     for _ in range(steps):
         psi = half_v * psi
@@ -160,13 +175,7 @@ def energy_expectation(state: PropagatorState, potential: Potential) -> float:
     """<psi| T + U |psi> evaluated spectrally."""
     psi = state.psi.values
     grid = state.psi.grid
-    k2 = np.zeros(grid.shape)
-    for axis in range(grid.dims):
-        k = grid.wavenumbers(axis)
-        shape = [1] * grid.dims
-        shape[axis] = grid.points[axis]
-        k2 = k2 + k.reshape(shape) ** 2
-    t_psi = np.fft.ifftn(k2 * np.fft.fftn(psi)) * state.hbar**2 / (2 * state.m)
+    t_psi = np.fft.ifftn(grid.k_squared() * np.fft.fftn(psi)) * state.hbar**2 / (2 * state.m)
     h_psi = t_psi + potential.values * psi
     return float(np.real(np.sum(np.conj(psi) * h_psi)) * grid.cell_volume)
 

@@ -188,6 +188,27 @@ class TestCli:
         assert "fitted order" in capsys.readouterr().out
         assert cli_main(["report", str(out_dir)]) == 0
 
+    def assert_config_error(self, tmp_path, capsys, doc):
+        doc = dict(doc, output_dir=str(tmp_path / "out"))
+        assert cli_main(["run", self.write_config(tmp_path, doc)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "Traceback" not in err
+
+    def test_zero_checkpoints_exit_two(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, {
+            "scenario": "equivariance", "n_trajectories": 100, "steps": 10,
+            "checkpoints": 0})
+
+    def test_non_numeric_value_exit_two(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, {
+            "scenario": "twofluid-verify", "n_micro": "sixteen"})
+
+    def test_more_checkpoints_than_steps_exit_two(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, {
+            "scenario": "relaxation", "n_trajectories": 100, "steps": 10,
+            "checkpoints": 20})
+
     def test_bad_values_exit_two(self, tmp_path):
         cfg = self.write_config(
             tmp_path, {"scenario": "twofluid-verify",

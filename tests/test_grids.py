@@ -12,6 +12,8 @@ from qfluid.grids import (
     VectorField,
     WaveField,
     divergence,
+    fd_derivative,
+    fd_second_derivative,
     gradient,
     integrate,
     laplacian,
@@ -56,6 +58,20 @@ class TestGridSpec:
     def test_three_dimensional_rejected(self):
         with pytest.raises(GridError):
             GridSpec.regular((1.0, 1.0, 1.0), (16, 16, 16))
+
+
+class TestKSquared:
+    def test_matches_axis_sum_and_is_cached(self):
+        g = GridSpec.regular((8.0, 5.0), (16, 10))
+        k2 = np.zeros(g.shape)
+        k2 = k2 + g.wavenumbers(0)[:, None] ** 2
+        k2 = k2 + g.wavenumbers(1)[None, :] ** 2
+        assert np.array_equal(g.k_squared(), k2)
+        assert g.k_squared() is g.k_squared()
+        assert not g.k_squared().flags.writeable
+
+    def test_1d(self, line):
+        assert np.array_equal(line.k_squared(), line.wavenumbers(0) ** 2)
 
 
 class TestGradient:
@@ -219,3 +235,39 @@ def test_laplacian_equals_div_grad(seed):
     f = band_limited(g, seed)
     gap = np.abs(laplacian(f).values - divergence(gradient(f)).values).max()
     assert gap <= 1e-10
+
+
+# np.roll formulation of the 8th-order stencils, the reference for the
+# ghost-cell kernels: same weights, same summation order
+_D1 = (4.0 / 5.0, -1.0 / 5.0, 4.0 / 105.0, -1.0 / 280.0)
+_D2_0 = -205.0 / 72.0
+_D2 = (8.0 / 5.0, -1.0 / 5.0, 8.0 / 315.0, -1.0 / 560.0)
+
+
+def roll_derivative(values, grid, axis):
+    out = np.zeros_like(values)
+    for offset, w in enumerate(_D1, start=1):
+        out += w * (np.roll(values, -offset, axis=axis)
+                    - np.roll(values, offset, axis=axis))
+    return out / grid.spacing[axis]
+
+
+def roll_second_derivative(values, grid, axis):
+    out = _D2_0 * values.copy()
+    for offset, w in enumerate(_D2, start=1):
+        out += w * (np.roll(values, -offset, axis=axis)
+                    + np.roll(values, offset, axis=axis))
+    return out / grid.spacing[axis] ** 2
+
+
+@settings(max_examples=40, deadline=None)
+@given(points=st.lists(st.integers(8, 40), min_size=1, max_size=2),
+       seed=st.integers(0, 1000))
+def test_ghost_cell_stencils_equal_roll_reference(points, seed):
+    g = GridSpec.regular(tuple(3.0 + n for n in points), tuple(points))
+    values = np.random.default_rng(seed).standard_normal(g.shape)
+    for axis in range(g.dims):
+        assert np.array_equal(fd_derivative(values, g, axis),
+                              roll_derivative(values, g, axis))
+        assert np.array_equal(fd_second_derivative(values, g, axis),
+                              roll_second_derivative(values, g, axis))

@@ -137,6 +137,55 @@ class TestBruteForceCrossCheck:
                                       1.0, 1.0, dt=0.3)
 
 
+    @pytest.fixture(scope="class")
+    def small(self):
+        grid_x = GridSpec.centered(24.0, 64)
+        grid_y = GridSpec.centered(16.0, 64)
+        potential = Potential.harmonic(grid_x, 1.0)
+        pairs = stationary_states(potential, 2)
+        pointer = gaussian_packet(grid_y, POINTER_WIDTH, center=Y0)
+        return potential, pairs, pointer
+
+    def test_matches_step_by_step_2d_strang_loop(self, small):
+        potential, pairs, pointer = small
+        coeffs = [1 / np.sqrt(2), 1 / np.sqrt(2)]
+        coupling, duration, dt = 1.0, 0.5, 1e-2
+        brute = pointer_measurement_brute(coeffs, pairs, pointer, potential,
+                                          coupling, duration, dt=dt)
+        ref = three_transform_strang(coeffs, pairs, pointer, potential,
+                                     coupling, duration, dt)
+        assert np.abs(brute.values - ref).max() <= 1e-12
+        assert abs(brute.norm() - 1.0) <= 1e-12
+
+    def test_zero_duration_returns_initial_state(self, small):
+        potential, pairs, pointer = small
+        coeffs = [0.6, 0.8]
+        brute = pointer_measurement_brute(coeffs, pairs, pointer, potential,
+                                          1.0, 0.0, dt=1e-2)
+        initial = np.outer(0.6 * pairs[0][1].values + 0.8 * pairs[1][1].values,
+                           pointer.values)
+        assert np.array_equal(brute.values, initial)
+
+
+def three_transform_strang(coeffs, eigenpairs, pointer, potential_x, coupling,
+                           duration, dt, hbar=1.0, m=1.0):
+    """Step-by-step 2D Strang loop: half B-phase in (x, k_y), full A-phase in
+    (k_x, k_y), half B-phase in (x, k_y), back to (x, y) after every factor."""
+    sys0 = sum(c * p[1].values for c, p in zip(coeffs, eigenpairs))
+    psi = np.outer(sys0, pointer.values).astype(complex)
+    grid2 = joint_grid(eigenpairs[0][1].grid, pointer.grid)
+    kx = grid2.wavenumbers(0)[:, None]
+    ky = grid2.wavenumbers(1)[None, :]
+    factor = 1.0 + coupling * hbar * ky
+    half_b = np.exp(-0.5j * potential_x.values[:, None] * factor * dt / hbar)
+    full_a = np.exp(-1j * hbar**2 * kx**2 / (2.0 * m) * factor * dt / hbar)
+    for _ in range(round(duration / dt)):
+        psi = np.fft.ifft(half_b * np.fft.fft(psi, axis=1), axis=1)
+        psi = np.fft.ifftn(full_a * np.fft.fftn(psi))
+        psi = np.fft.ifft(half_b * np.fft.fft(psi, axis=1), axis=1)
+    return psi
+
+
 def test_joint_grid_requires_1d_parts():
     g1 = GridSpec.centered(8.0, 64)
     g2 = joint_grid(g1, g1)

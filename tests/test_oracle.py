@@ -112,6 +112,56 @@ class TestSplitStep:
             split_step_evolve(PropagatorState(bad, 0.0, 1e-3), harmonic512, 1)
 
 
+    def test_grid_mismatch_rejected_after_cached_use(self, grid512, grid256):
+        potential = Potential.free(grid512)
+        split_step_evolve(
+            PropagatorState(harmonic_ground_state(grid512, 1.0), 0.0, 1e-3),
+            potential, 1,
+        )
+        with pytest.raises(ConfigError):
+            split_step_evolve(
+                PropagatorState(harmonic_ground_state(grid256, 1.0), 0.0, 1e-3),
+                potential, 1,
+            )
+
+    def test_one_step_calls_equal_one_long_call(self, grid512, harmonic512):
+        state = PropagatorState(gaussian_packet(grid512, 1.0, momentum=1.0), 0.0, 1e-3)
+        stepped = state
+        for _ in range(20):
+            stepped = split_step_evolve(stepped, harmonic512, 1)
+        whole = split_step_evolve(state, harmonic512, 20)
+        assert np.array_equal(stepped.psi.values, whole.psi.values)
+        assert stepped.t == pytest.approx(whole.t)
+
+    def test_cached_phases_equal_fresh_builds(self, grid256):
+        harmonic = Potential.harmonic(grid256, 1.0)
+        barrier = Potential.barrier(grid256, height=3.0, width=1.0)
+        psi = gaussian_packet(grid256, 1.0, momentum=1.5)
+        # six (potential, dt, m) keys, more than the cache holds, so keys
+        # come back both as hits and after eviction
+        keys = [(harmonic, 1e-3, 1.0), (barrier, 2e-3, 1.0), (harmonic, 2e-3, 1.0),
+                (barrier, 1e-3, 1.0), (harmonic, 1e-3, 0.5), (barrier, 5e-4, 1.0)]
+        for potential, dt, m in keys + keys[::-1] + keys:
+            state = PropagatorState(psi, 0.0, dt, 1.0, m)
+            out = split_step_evolve(state, potential, 3)
+            assert np.array_equal(out.psi.values, fresh_split_step(state, potential, 3))
+
+
+def fresh_split_step(state, potential, steps):
+    """Strang steps with both phase factors built anew on each call."""
+    grid = state.psi.grid
+    dt, hbar, m = state.dt, state.hbar, state.m
+    k2 = np.zeros(grid.shape) + grid.wavenumbers(0) ** 2
+    half_v = np.exp(-0.5j * potential.values * dt / hbar)
+    kin = np.exp(-1j * hbar * k2 * dt / (2.0 * m))
+    psi = state.psi.values
+    for _ in range(steps):
+        psi = half_v * psi
+        psi = np.fft.ifftn(kin * np.fft.fftn(psi))
+        psi = half_v * psi
+    return psi
+
+
 class TestStationaryStates:
     def test_harmonic_spectrum(self, eigenpairs512):
         for k, (energy, _) in enumerate(eigenpairs512):
