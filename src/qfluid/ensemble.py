@@ -29,7 +29,8 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .grids import GridSpec, ScalarField, WaveField, complex_gradient, _interp_weights
+from .grids import (GridSpec, ScalarField, WaveField, _check_finite, _interp_weights,
+                    _spectral_derivative)
 from .oracle import Potential, PropagatorState, split_step_evolve
 
 __all__ = [
@@ -118,6 +119,11 @@ class VelocityField:
     with no index wrap thanks to the pad. The velocity is then
     Im(g conj psi) / max(|psi|^2, floor) in real arithmetic, with
     |psi|^2 = re^2 + im^2.
+
+    A build fills the tables in place: each gradient comes from one
+    grids._spectral_derivative call per axis, with hbar / m_i folded into
+    its wavenumbers, and is copied straight into its two rows; the node
+    floor is taken from re^2 + im^2 of the psi rows.
     """
 
     def __init__(self, psi: WaveField, hbar: float = 1.0, m: float = 1.0,
@@ -128,8 +134,7 @@ class VelocityField:
         self.hbar = hbar
         self.m = m
         self.masses = masses if masses is not None else (m,) * grid.dims
-        rho = np.abs(psi.values) ** 2
-        self.rho_floor = floor_fraction * rho.max()
+        _check_finite(psi.values, "velocity field input")
         self.v_max = tuple(
             hbar * np.pi / (mi * h)
             for mi, h in zip(self.masses, grid.spacing)
@@ -137,14 +142,19 @@ class VelocityField:
         padded = tuple(n + 1 for n in grid.points)
         tables = np.empty((2 + 2 * grid.dims,) + padded)
         body = tuple(slice(0, n) for n in grid.points)
-        scales = (1.0,) + tuple(hbar / mi for mi in self.masses)
-        for k, values in enumerate((psi.values,) + complex_gradient(psi)):
-            np.multiply(values.real, scales[k], out=tables[2 * k][body])
-            np.multiply(values.imag, scales[k], out=tables[2 * k + 1][body])
+        tables[0][body] = psi.values.real
+        tables[1][body] = psi.values.imag
+        for axis in range(grid.dims):
+            g = _spectral_derivative(psi.values, grid, axis, hbar / self.masses[axis])
+            tables[2 + 2 * axis][body] = g.real
+            tables[3 + 2 * axis][body] = g.imag
         # periodic pad; the 2D corner cell is filled by the second pass
         for axis, n in enumerate(grid.points):
             lead = (slice(None),) * (axis + 1)
             tables[lead + (n,)] = tables[lead + (0,)]
+        rho = tables[0] * tables[0]
+        rho += tables[1] * tables[1]
+        self.rho_floor = floor_fraction * rho.max()
         self._tables = tables.reshape(len(tables), -1)
         # flat-index step of one cell along x on the padded 2D table
         self._row = padded[-1]

@@ -72,6 +72,10 @@ __all__ = ["ExperimentConfig", "RunManifest", "Criterion", "run", "sweep", "repo
 OUTPUT_ROOT_ENV = "QFLUID_OUTPUT_ROOT"
 
 
+# config keys whose value is a JSON object of named sub-settings
+_OBJECT_KEYS = ("constants", "grid", "tolerances")
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one run; flat key namespace."""
@@ -92,6 +96,11 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}"
             )
+        for key in _OBJECT_KEYS:
+            if key in doc and not isinstance(doc[key], dict):
+                raise ConfigError(
+                    f"config key {key!r} must be a JSON object, got {doc[key]!r}"
+                )
         return cls(scenario=scenario, params=doc, output_dir=output_dir)
 
     @classmethod
@@ -825,7 +834,13 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list[float],
             raise ConfigError(
                 f"scenario did not report sweep metric {metric_name!r}"
             )
-        metrics.append(manifest.metrics[metric_name])
+        metric = manifest.metrics[metric_name]
+        if not (np.isfinite(metric) and metric > 0):
+            raise ConfigError(
+                f"sweep metric {metric_name!r} is {metric!r} at {parameter}={value!r}; "
+                "a log-log fit needs positive finite values"
+            )
+        metrics.append(metric)
         manifests.append(manifest)
     order = float(np.polyfit(np.log(values), np.log(metrics), 1)[0])
     result = SweepResult(parameter, [float(v) for v in values], metrics,
@@ -876,6 +891,11 @@ def report(directory, outdir=None) -> ReportSummary:
             continue
         if any(v is None for v in doc["metrics"].values()):
             integrity.append(f"{path}: null metric value")
+            continue
+        bad = sorted(k for k, v in doc["metrics"].items()
+                     if not (isinstance(v, (int, float)) and np.isfinite(v)))
+        if bad:
+            integrity.append(f"{path}: non-finite metric value ({', '.join(bad)})")
             continue
         if doc.get("passed"):
             passed += 1

@@ -11,6 +11,7 @@ shared freely across workers.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Union
 
 import numpy as np
@@ -91,7 +92,7 @@ class GridSpec:
     def dims(self) -> int:
         return len(self.points)
 
-    @property
+    @cached_property
     def spacing(self) -> tuple[float, ...]:
         return tuple(L / n for L, n in zip(self.extent, self.points))
 
@@ -122,21 +123,32 @@ class GridSpec:
         return list(np.meshgrid(*self.axes(), indexing="ij"))
 
     def wavenumbers(self, i: int) -> np.ndarray:
-        """Angular wavenumbers 2*pi*fftfreq along axis i."""
-        return 2.0 * np.pi * np.fft.fftfreq(self.points[i], d=self.spacing[i])
+        """Angular wavenumbers 2*pi*fftfreq along axis i; computed once per
+        grid and returned read-only."""
+        return self._wavenumbers[i]
+
+    @cached_property
+    def _wavenumbers(self) -> tuple[np.ndarray, ...]:
+        tables = []
+        for n, h in zip(self.points, self.spacing):
+            k = 2.0 * np.pi * np.fft.fftfreq(n, d=h)
+            k.setflags(write=False)
+            tables.append(k)
+        return tuple(tables)
 
     def k_squared(self) -> np.ndarray:
         """|k|^2 on the grid, summed axis by axis; computed once per grid
         and returned read-only."""
-        k2 = self.__dict__.get("_k_squared")
-        if k2 is None:
-            k2 = np.zeros(self.shape)
-            for axis in range(self.dims):
-                shape = [1] * self.dims
-                shape[axis] = self.points[axis]
-                k2 = k2 + self.wavenumbers(axis).reshape(shape) ** 2
-            k2.setflags(write=False)
-            object.__setattr__(self, "_k_squared", k2)
+        return self._k_squared
+
+    @cached_property
+    def _k_squared(self) -> np.ndarray:
+        k2 = np.zeros(self.shape)
+        for axis in range(self.dims):
+            shape = [1] * self.dims
+            shape[axis] = self.points[axis]
+            k2 = k2 + self.wavenumbers(axis).reshape(shape) ** 2
+        k2.setflags(write=False)
         return k2
 
     def axis_line(self, i: int) -> "GridSpec":
@@ -263,27 +275,46 @@ def _require_same_grid(a: GridSpec, b: GridSpec):
         raise GridMismatchError(f"grids differ: {a} vs {b}")
 
 
-def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
-    """d/dx along one axis via FFT. Zeroes the Nyquist mode, which makes odd
-    derivatives of real data real and avoids the asymmetric lone mode.
+def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int,
+                         scale: float = 1.0) -> np.ndarray:
+    """scale * d/dx along one axis via FFT, one transform pair per call.
 
-    Complex data is differentiated part by part, so a field with an exactly
-    zero imaginary part keeps it exactly zero (a complex transform would
-    leak rounding noise between the parts, which downstream phase-gradient
-    ratios amplify).
+    The transform is chosen by the data, not the dtype:
+
+    - complex data with both parts non-zero: one complex fft/ifft pair;
+    - real data, or complex data with one part exactly zero: an rfft/irfft
+      pair on the non-zero part, and the zero part of the result is exactly
+      zero. A complex transform would leak rounding noise into it, which
+      downstream phase-gradient ratios amplify.
+
+    The Nyquist mode is zeroed, which makes odd derivatives of real data
+    real and avoids the asymmetric lone mode. scale multiplies the
+    wavenumbers, so the output needs no second scaling pass.
     """
-    if np.iscomplexobj(values):
-        return (_spectral_derivative(values.real, grid, axis)
-                + 1j * _spectral_derivative(values.imag, grid, axis))
     n = grid.points[axis]
-    k = grid.wavenumbers(axis)
+    k = grid.wavenumbers(axis) * scale
     if n % 2 == 0:
-        k = k.copy()
         k[n // 2] = 0.0
     shape = [1] * grid.dims
-    shape[axis] = n
-    fk = np.fft.fft(values, axis=axis)
-    return np.fft.ifft(1j * k.reshape(shape) * fk, axis=axis).real
+    shape[axis] = -1
+    if np.iscomplexobj(values):
+        # one element with both parts non-zero settles it without two scans
+        probe = values.flat[values.size // 2]
+        has_re = bool(probe.real) or values.real.any()
+        has_im = bool(probe.imag) or values.imag.any()
+        if has_re and has_im:
+            fk = np.fft.fft(values, axis=axis)
+            fk *= 1j * k.reshape(shape)
+            return np.fft.ifft(fk, axis=axis)
+        out = np.zeros(values.shape, dtype=complex)
+        if has_im:
+            out.imag = _spectral_derivative(values.imag, grid, axis, scale)
+        else:
+            out.real = _spectral_derivative(values.real, grid, axis, scale)
+        return out
+    fk = np.fft.rfft(values, axis=axis)
+    fk *= 1j * k[: n // 2 + 1].reshape(shape)
+    return np.fft.irfft(fk, n, axis=axis)
 
 
 def _spectral_laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:

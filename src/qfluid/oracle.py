@@ -152,7 +152,7 @@ def split_step_evolve(state: PropagatorState, potential: Potential,
         psi = half_v * psi
         psi = np.fft.ifftn(kin * np.fft.fftn(psi))
         psi = half_v * psi
-        norm = np.sqrt(np.sum(np.abs(psi) ** 2) * cellvol)
+        norm = np.sqrt(np.vdot(psi, psi).real * cellvol)
         if abs(norm - 1.0) > NORM_DRIFT_ABORT:
             raise UnitarityError(
                 f"norm drifted to {norm!r} after a step at t={state.t!r}"

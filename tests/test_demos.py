@@ -1,5 +1,6 @@
-"""Smoke tests for the narrative demos that drive the stencil, split-step
-and pointer kernels: each runs as a script and prints its key results."""
+"""Smoke tests for the narrative demos that drive the stencil, spectral,
+split-step and pointer kernels: each runs as a script and prints its key
+results."""
 
 import os
 import re
@@ -38,3 +39,31 @@ def test_pointer_measurement_demo():
     lobes = re.findall(r"lobe masses: (\S+) / (\S+)", out)
     assert len(lobes) == 2  # closed form, then the brute-force cross-check
     assert all(abs(float(v) - 0.5) < 2e-2 for pair in lobes for v in pair)
+
+
+def test_quantum_force_from_diffusion_demo():
+    out = run_demo("01_quantum_force_from_diffusion.py")
+    rows = re.findall(r"^ +(\S+e-0\d) +(\S+)$", out, re.MULTILINE)
+    assert len(rows) == 5
+    delta_t = [float(d) for d, _ in rows]
+    errors = [float(e) for _, e in rows]
+    # first order in the micro-interval: halving delta_t halves the error
+    for (d0, e0), (d1, e1) in zip(zip(delta_t, errors), zip(delta_t[1:], errors[1:])):
+        assert d0 / d1 == 2.0
+        assert 1.9 <= e0 / e1 <= 2.1
+    assert errors[-1] < 1e-4
+    deviations = re.findall(r"^ +\S+ +\S+ +\S+ +(\S+e-\d+)$", out, re.MULTILINE)
+    assert len(deviations) == 3
+    assert all(float(d) < 1e-3 for d in deviations)
+
+
+def test_conditional_pilot_waves_demo():
+    out = run_demo("06_conditional_pilot_waves.py")
+    worst = re.search(r"max \|difference\| over 500 sampled configurations: (\S+)", out)
+    assert worst and float(worst.group(1)) < 1e-12
+    drift = re.search(r"max variation across conditioning positions: (\S+)", out)
+    assert drift and float(drift.group(1)) < 1e-12
+    overlaps = re.findall(r"left branch (\S+), right branch (\S+),", out)
+    assert len(overlaps) == 3
+    # the slice at one packet's position picks the other particle's branch
+    assert float(overlaps[0][1]) > 0.99 and float(overlaps[2][0]) > 0.99

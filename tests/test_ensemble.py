@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qfluid.errors import ConfigError
+from qfluid.errors import ConfigError, NonFiniteFieldError
 from qfluid.grids import (
     GridSpec,
     ScalarField,
@@ -520,3 +520,23 @@ def test_fused_lookup_node_cap_and_events(grid512, harmonic512):
         assert (events.evaluations, events.capped) == (positions.size, capped)
         assert np.abs(got).max() <= np.pi / h
         assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+
+
+@pytest.mark.parametrize("grid", [_LINE, _PLANE], ids=["1d", "2d"])
+@pytest.mark.parametrize("unit", [1.0, 1j, -1j], ids=["real", "imaginary", "minus-imaginary"])
+def test_single_part_field_velocity_is_exactly_zero(grid, unit):
+    psi = _band_limited_wave(grid, seed=4, real=True)
+    field = VelocityField(WaveField(grid, unit * psi.values), m=0.7)
+    rng = np.random.default_rng(1)
+    lo, hi = np.array(grid.origin), np.array(grid.origin) + np.array(grid.extent)
+    positions = rng.uniform(lo, hi, size=(200, grid.dims))
+    if grid.dims == 1:
+        positions = positions[:, 0]
+    assert np.all(field.at(positions) == 0.0)
+
+
+def test_velocity_field_rejects_nan_psi():
+    values = _band_limited_wave(_PLANE, seed=2, real=False).values.copy()
+    values[5, 7] = complex(np.nan, 0.0)
+    with pytest.raises(NonFiniteFieldError):
+        VelocityField(WaveField(_PLANE, values))

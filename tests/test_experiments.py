@@ -6,9 +6,11 @@ import pytest
 
 from qfluid.cli import main as cli_main
 from qfluid.errors import ConfigError
+from qfluid import experiments
 from qfluid.experiments import (
     ExperimentConfig,
     OUTPUT_ROOT_ENV,
+    RunManifest,
     report,
     run,
     sweep,
@@ -114,6 +116,18 @@ class TestSweep:
         assert (tmp_path / "sweep.csv").exists()
         assert result.fitted_order == pytest.approx(1.0, abs=0.15)
 
+    @pytest.mark.parametrize("bad", [0.0, -1e-3, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_metric_rejected(self, tmp_path, monkeypatch, bad):
+        metrics = iter([1e-3, bad, 1e-4])
+
+        def fake_run(cfg, outdir):
+            return RunManifest(cfg.scenario, cfg.to_dict(),
+                               {"rel_err_vs_gradQ": next(metrics)}, [], [])
+
+        monkeypatch.setattr(experiments, "run", fake_run)
+        with pytest.raises(ConfigError, match="rel_err_vs_gradQ"):
+            sweep(fast_config(), "delta_t", [2e-4, 1e-4, 5e-5], tmp_path)
+
 
 class TestReport:
     def test_aggregates_and_flags_failures(self, tmp_path):
@@ -139,6 +153,19 @@ class TestReport:
         (tmp_path / "a" / "run_manifest.json").write_text(json.dumps(doc))
         summary = report(tmp_path)
         assert summary.integrity_errors
+        assert not summary.ok
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_metric_is_integrity_failure(self, tmp_path, bad):
+        run(fast_config(), tmp_path / "a")
+        path = tmp_path / "a" / "run_manifest.json"
+        doc = json.loads(path.read_text())
+        doc["metrics"]["rel_err_vs_gradQ"] = bad
+        path.write_text(json.dumps(doc))
+        summary = report(tmp_path)
+        assert len(summary.integrity_errors) == 1
+        assert "non-finite" in summary.integrity_errors[0]
+        assert "rel_err_vs_gradQ" in summary.integrity_errors[0]
         assert not summary.ok
 
     def test_no_manifests_is_an_error(self, tmp_path):
@@ -208,6 +235,11 @@ class TestCli:
         self.assert_config_error(tmp_path, capsys, {
             "scenario": "relaxation", "n_trajectories": 100, "steps": 10,
             "checkpoints": 20})
+
+    @pytest.mark.parametrize("key", ["constants", "grid", "tolerances"])
+    def test_non_object_sub_config_exit_two(self, tmp_path, capsys, key):
+        self.assert_config_error(tmp_path, capsys, {
+            "scenario": "oracle-evolve", key: 5})
 
     def test_bad_values_exit_two(self, tmp_path):
         cfg = self.write_config(

@@ -11,6 +11,7 @@ from qfluid.grids import (
     ScalarField,
     VectorField,
     WaveField,
+    _spectral_derivative,
     divergence,
     fd_derivative,
     fd_second_derivative,
@@ -72,6 +73,30 @@ class TestKSquared:
 
     def test_1d(self, line):
         assert np.array_equal(line.k_squared(), line.wavenumbers(0) ** 2)
+
+
+class TestGridCaches:
+    def test_wavenumbers_cached_and_read_only(self):
+        g = GridSpec.regular((8.0, 5.0), (16, 10))
+        for axis in range(2):
+            k = g.wavenumbers(axis)
+            assert k is g.wavenumbers(axis)
+            assert not k.flags.writeable
+            expected = 2.0 * np.pi * np.fft.fftfreq(g.points[axis], d=g.spacing[axis])
+            assert np.array_equal(k, expected)
+        with pytest.raises(ValueError):
+            g.wavenumbers(0)[1] = 0.0
+
+    def test_spacing_cached(self):
+        g = GridSpec.regular((8.0, 5.0), (16, 10))
+        assert g.spacing is g.spacing
+        assert g.spacing == (0.5, 0.5)
+
+    def test_caches_do_not_touch_equality(self):
+        a = GridSpec.regular((8.0, 5.0), (16, 10))
+        b = GridSpec.regular((8.0, 5.0), (16, 10))
+        a.wavenumbers(0), a.k_squared()
+        assert a == b and hash(a) == hash(b)
 
 
 class TestGradient:
@@ -271,3 +296,57 @@ def test_ghost_cell_stencils_equal_roll_reference(points, seed):
                               roll_derivative(values, g, axis))
         assert np.array_equal(fd_second_derivative(values, g, axis),
                               roll_second_derivative(values, g, axis))
+
+
+def part_by_part_derivative(values, grid, axis, scale):
+    """The former kernel: a full complex FFT pair for the real part and
+    another for the imaginary part, Nyquist zeroed, then scaled."""
+    n = grid.points[axis]
+    k = 2.0 * np.pi * np.fft.fftfreq(n, d=grid.spacing[axis])
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    shape = [1] * grid.dims
+    shape[axis] = n
+    ik = 1j * k.reshape(shape)
+
+    def real(part):
+        return np.fft.ifft(ik * np.fft.fft(part, axis=axis), axis=axis).real
+
+    out = real(values.real) + 1j * real(values.imag) if np.iscomplexobj(values) \
+        else real(values)
+    return scale * out
+
+
+@settings(max_examples=60, deadline=None)
+@given(points=st.lists(st.integers(8, 41), min_size=1, max_size=2),
+       seed=st.integers(0, 1000),
+       kind=st.sampled_from(["complex", "real-probe", "real", "imaginary", "real-complex"]),
+       scale=st.sampled_from([1.0, 0.37, -2.5]))
+def test_spectral_derivative_matches_part_by_part(points, seed, kind, scale):
+    g = GridSpec.regular(tuple(2.0 + n / 3 for n in points), tuple(points))
+    rng = np.random.default_rng(seed)
+    re, im = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+    if kind == "real-probe":  # the element the dispatch probes first is real
+        im.flat[im.size // 2] = 0.0
+    values = {"complex": re + 1j * im, "real-probe": re + 1j * im, "real": re,
+              "imaginary": 1j * im, "real-complex": re + 0j}[kind]
+    for axis in range(g.dims):
+        kmax = np.abs(g.wavenumbers(axis)).max()
+        out = _spectral_derivative(values, g, axis, scale)
+        ref = part_by_part_derivative(values, g, axis, scale)
+        assert out.dtype == ref.dtype and out.shape == ref.shape
+        tol = 1e-13 * kmax * abs(scale) * np.abs(values).max()
+        assert np.abs(out - ref).max() <= tol
+        if kind in ("real-complex", "imaginary"):
+            zero = out.imag if kind == "real-complex" else out.real
+            assert not zero.any()
+
+
+def test_complex_plane_wave_derivative():
+    g = GridSpec.regular((6.0, 8.0), (32, 33))
+    xx, yy = g.meshgrid()
+    k0, k1 = 2 * np.pi * 2 / 6.0, 2 * np.pi * 3 / 8.0
+    psi = np.exp(1j * (k0 * xx + k1 * yy))
+    for axis, k in enumerate((k0, k1)):
+        out = _spectral_derivative(psi, g, axis, 0.5)
+        assert np.abs(out - 0.5j * k * psi).max() <= 1e-12

@@ -147,11 +147,53 @@ class TestSplitStep:
             assert np.array_equal(out.psi.values, fresh_split_step(state, potential, 3))
 
 
+class TestSplitStep2D:
+    """The 1D bit-identity checks on a 128x128 harmonic trap: 2D results
+    go through fftn over two axes, where an in-place rewrite of the loop
+    can change bits that the 1D checks never see."""
+
+    @pytest.fixture(scope="class")
+    def grid2(self):
+        return GridSpec.centered((24.0, 24.0), (128, 128))
+
+    @staticmethod
+    def packet(grid2, momentum=(1.0, -0.5)):
+        line = grid2.axis_line(0)
+        a = gaussian_packet(line, 1.0, center=1.0, momentum=momentum[0]).values
+        b = gaussian_packet(line, 1.3, center=-0.5, momentum=momentum[1]).values
+        return WaveField(grid2, np.outer(a, b))
+
+    def test_one_step_calls_equal_one_long_call(self, grid2):
+        harmonic = Potential.harmonic(grid2, 1.0)
+        state = PropagatorState(self.packet(grid2), 0.0, 1e-3)
+        stepped = state
+        for _ in range(20):
+            stepped = split_step_evolve(stepped, harmonic, 1)
+        whole = split_step_evolve(state, harmonic, 20)
+        assert np.array_equal(stepped.psi.values, whole.psi.values)
+        assert stepped.t == pytest.approx(whole.t)
+
+    def test_cached_phases_equal_fresh_builds(self, grid2):
+        harmonic = Potential.harmonic(grid2, 1.0)
+        shifted = Potential.harmonic(grid2, 1.3, center=(0.5, -0.5))
+        psi = self.packet(grid2, momentum=(1.5, 0.5))
+        keys = [(harmonic, 1e-3, 1.0), (shifted, 2e-3, 1.0), (harmonic, 2e-3, 1.0),
+                (shifted, 1e-3, 1.0), (harmonic, 1e-3, 0.5), (shifted, 5e-4, 1.0)]
+        for potential, dt, m in keys + keys[::-1] + keys:
+            state = PropagatorState(psi, 0.0, dt, 1.0, m)
+            out = split_step_evolve(state, potential, 3)
+            assert np.array_equal(out.psi.values, fresh_split_step(state, potential, 3))
+
+
 def fresh_split_step(state, potential, steps):
     """Strang steps with both phase factors built anew on each call."""
     grid = state.psi.grid
     dt, hbar, m = state.dt, state.hbar, state.m
-    k2 = np.zeros(grid.shape) + grid.wavenumbers(0) ** 2
+    k2 = np.zeros(grid.shape)
+    for axis in range(grid.dims):
+        shape = [1] * grid.dims
+        shape[axis] = -1
+        k2 = k2 + grid.wavenumbers(axis).reshape(shape) ** 2
     half_v = np.exp(-0.5j * potential.values * dt / hbar)
     kin = np.exp(-1j * hbar * k2 * dt / (2.0 * m))
     psi = state.psi.values
