@@ -54,12 +54,10 @@ from .madelung import (
     recompose,
 )
 from .twofluid import (
-    Fluid2State,
     TwoFluidConfig,
     averaged_acceleration,
     fluid2_microstep,
     fluid2_velocity,
-    jump_reset,
     micro_acceleration,
     reaction_force,
 )

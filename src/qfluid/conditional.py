@@ -22,14 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionalUndefinedError, ConfigError
-from .grids import GridSpec, WaveField, _interp_values, _interp_weights, complex_gradient
-from .ensemble import (
-    NodeEvents,
-    PropagationResult,
-    TrajectoryEnsemble,
-    VelocityField,
-    propagate_ensemble,
-)
+from .grids import GridSpec, WaveField, _interp_weights
+from .ensemble import NodeEvents, TrajectoryEnsemble, VelocityField, propagate_ensemble
 
 __all__ = [
     "ConfigWaveField",
@@ -39,7 +33,6 @@ __all__ = [
     "conditional_guiding_velocity",
     "configuration_velocity",
     "propagate_pair",
-    "propagate_pair_ensemble",
 ]
 
 
@@ -129,47 +122,22 @@ def conditional_guiding_velocity(state: ConfigWaveField, pair: ParticlePair,
     """Particle velocity from its conditional wave function.
 
     v_i = (hbar / m_i) Im( d(phi)/dx / phi ) at the particle's position,
-    with the slice taken at the other particle's position. Equal, to
-    rounding, to the corresponding component of configuration_velocity.
+    with the slice taken at the other particle's position, evaluated by a
+    1D VelocityField of the slice (its node floor, Nyquist cap and event
+    counts apply). Equal, to rounding, to the corresponding component of
+    configuration_velocity.
     """
     own = pair.x1 if particle == 0 else pair.x2
     other = pair.x2 if particle == 0 else pair.x1
     cond = conditional_wavefunction(state, particle, other)
-    phi = cond.psi
-    dphi = complex_gradient(phi)[0]
-    phi_here = _interp_values(phi.values, phi.grid, np.array([own]))[0]
-    dphi_here = _interp_values(dphi, phi.grid, np.array([own]))[0]
-    m_i = state.masses[particle]
-    rho_here = abs(phi_here) ** 2
-    floor = 1e-12 * np.max(np.abs(phi.values) ** 2)
-    if rho_here < floor:
-        if events is not None:
-            events.capped += 1
-            events.evaluations += 1
-        v_max = state.hbar * np.pi / (m_i * phi.grid.spacing[0])
-        raw = (state.hbar / m_i) * np.imag(dphi_here * np.conj(phi_here)) / floor
-        return float(np.clip(raw, -v_max, v_max))
-    if events is not None:
-        events.evaluations += 1
-    return float((state.hbar / m_i) * np.imag(dphi_here / phi_here))
+    field = VelocityField(cond.psi, state.hbar, state.masses[particle])
+    return float(field.at(np.array([own]), events)[0])
 
 
 def configuration_velocity(state: ConfigWaveField) -> VelocityField:
     """Full configuration-space guiding velocity, one component per particle."""
     return VelocityField(state.psi, hbar=state.hbar, m=state.m1,
                          masses=state.masses)
-
-
-def propagate_pair_ensemble(ens: TrajectoryEnsemble, timeline, dt: float,
-                            steps: int,
-                            record_history: bool = True) -> PropagationResult:
-    """RK4 transport of many pairs; positions have shape (n, 2).
-
-    The timeline supplies the joint wave field; velocities are evaluated
-    through the configuration-space route, which the conditional/full
-    identity makes equivalent to per-particle conditional guidance.
-    """
-    return propagate_ensemble(ens, timeline, dt, steps, record_history)
 
 
 def propagate_pair(state0: ConfigWaveField, timeline, pair: ParticlePair,

@@ -572,7 +572,9 @@ def _scenario_measurement(cfg: ExperimentConfig, outdir: Path):
     k_single = int(cfg.get("single_mode", 2))
     t_single = float(cfg.get("duration_single", 2.0))
     t_pair = float(cfg.get("duration_pair", 4.0))
-    run_brute = bool(cfg.get("run_brute", True))
+    run_brute = cfg.get("run_brute", True)
+    if not isinstance(run_brute, bool):
+        raise ConfigError(f"run_brute must be true or false, got {run_brute!r}")
 
     potential = Potential.harmonic(grid_x, omega, m)
     pairs = stationary_states(potential, max(k_single + 1, 2), hbar, m)
@@ -727,19 +729,20 @@ SCENARIOS = {
     "conditional-pair": _scenario_conditional_pair,
 }
 
-_COMMON_KEYS = {"constants", "grid", "seed", "tolerances", "dt", "steps"}
+_COMMON_KEYS = {"constants", "grid", "tolerances"}
 SCENARIO_KEYS = {
-    "oracle-evolve": {"kind", "t_end", "displacement", "width", "mode"},
-    "madelung-compare": {"width", "momentum", "snapshot_windows",
+    "oracle-evolve": {"kind", "dt", "steps", "t_end", "displacement", "width",
+                      "mode"},
+    "madelung-compare": {"dt", "width", "momentum", "snapshot_windows",
                          "madelung_dt", "t_end"},
     "twofluid-verify": {"width", "delta_t", "n_micro", "micro_substeps"},
-    "equivariance": {"n_trajectories", "bins", "checkpoints"},
-    "relaxation": {"n_trajectories", "cell_size", "checkpoints", "phase_seed",
-                   "start_half_width", "mode_index", "omega_y"},
+    "equivariance": {"steps", "seed", "n_trajectories", "bins", "checkpoints"},
+    "relaxation": {"steps", "seed", "n_trajectories", "cell_size", "checkpoints",
+                   "phase_seed", "start_half_width", "mode_index", "omega_y"},
     "measurement": {"y_extent", "y_points", "pointer_width", "pointer_center",
                     "single_mode", "duration_single", "duration_pair",
                     "run_brute", "brute_points", "brute_dt"},
-    "conditional-pair": {"n_samples", "x1", "x2"},
+    "conditional-pair": {"steps", "seed", "n_samples", "x1", "x2"},
 }
 
 
@@ -818,6 +821,12 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list[float],
     if cfg.scenario not in SWEEP_METRICS:
         raise ConfigError(f"scenario {cfg.scenario!r} has no sweep metric")
     metric_name = SWEEP_METRICS[cfg.scenario]
+    bad = [v for v in values if not (np.isfinite(v) and v > 0)]
+    if bad:
+        raise ConfigError(
+            f"sweep values must be positive and finite for the log-log fit, "
+            f"got {bad!r}"
+        )
     outdir = Path(outdir) if outdir is not None else _resolve_outdir(cfg) / "sweep"
     outdir.mkdir(parents=True, exist_ok=True)
     metrics = []

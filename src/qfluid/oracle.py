@@ -52,8 +52,6 @@ class Potential:
     """Time-independent external potential realized on a grid."""
 
     field: ScalarField
-    kind: str = "custom"
-    params: tuple = ()
 
     def __post_init__(self):
         if not np.all(np.isfinite(self.field.values)):
@@ -69,7 +67,7 @@ class Potential:
 
     @classmethod
     def free(cls, grid: GridSpec) -> "Potential":
-        return cls(ScalarField(grid, np.zeros(grid.shape)), kind="free")
+        return cls(ScalarField(grid, np.zeros(grid.shape)))
 
     @classmethod
     def harmonic(cls, grid: GridSpec, omega: float, m: float = 1.0,
@@ -78,8 +76,7 @@ class Potential:
         ctr = (center,) * grid.dims if np.isscalar(center) else tuple(center)
         mesh = grid.meshgrid()
         r2 = sum((ax - c) ** 2 for ax, c in zip(mesh, ctr))
-        return cls(ScalarField(grid, 0.5 * m * omega**2 * r2),
-                   kind="harmonic", params=(omega, m) + ctr)
+        return cls(ScalarField(grid, 0.5 * m * omega**2 * r2))
 
     @classmethod
     def barrier(cls, grid: GridSpec, height: float, width: float,
@@ -87,12 +84,11 @@ class Potential:
         """Rectangular barrier on a 1D grid."""
         x = grid.axis(0)
         vals = np.where(np.abs(x - center) <= width / 2, height, 0.0)
-        return cls(ScalarField(grid, vals), kind="barrier",
-                   params=(height, width, center))
+        return cls(ScalarField(grid, vals))
 
     @classmethod
     def custom(cls, field: ScalarField) -> "Potential":
-        return cls(field, kind="custom")
+        return cls(field)
 
 
 @dataclass(frozen=True)

@@ -1,10 +1,14 @@
 """Diffusion-with-jumps micro-dynamics of a second fluid and its averaged force.
 
-A carrier density rho drives a second fluid of density sigma by ordinary
-diffusion (flux -D grad sigma) on a short time scale delta_t. At the end of
-each such micro-interval sigma snaps back to rho, and on the longer window
-Delta_t = N_micro * delta_t one records the mean acceleration of the second
-fluid. For smooth static rho this average approaches the closed form
+A carrier density rho drives a second fluid by ordinary diffusion (flux
+-D grad sigma) on a short time scale delta_t. The second fluid's state is
+its density sigma alone: its osmotic velocity u = -D grad(sigma)/sigma is a
+function of sigma, so it is computed only where it is read. Each
+micro-interval starts with the jump sigma <- rho_j, diffuses sigma through
+delta_t, and records the acceleration of the diffused sigma; on the longer
+window Delta_t = N_micro * delta_t these accelerations are averaged. For a
+static carrier every interval is the same, so one interval stands for the
+window. For smooth static rho the average approaches the closed form
 
     <du/dt> = -2 D^2 grad( laplacian(sqrt(rho)) / sqrt(rho) ),
 
@@ -34,11 +38,9 @@ from .grids import (
 
 __all__ = [
     "TwoFluidConfig",
-    "Fluid2State",
     "ReactionForce",
     "fluid2_velocity",
     "fluid2_microstep",
-    "jump_reset",
     "micro_acceleration",
     "micro_acceleration_differenced",
     "averaged_acceleration",
@@ -53,16 +55,15 @@ SIGMA_FLOOR_FRACTION = 1e-12
 class TwoFluidConfig:
     """Time scales and diffusion constant of the micro-dynamics.
 
-    delta_t is the micro interval between jumps, Delta_t the averaging
-    window, N_micro their ratio (at least 8 so the scales separate), and
-    micro_substeps the number of explicit diffusion substeps per micro
-    interval. D defaults to hbar/2m, the choice that turns the averaged
-    acceleration into the quantum-potential force.
+    delta_t is the micro interval between jumps, N_micro the number of
+    intervals in the averaging window Delta_t (at least 8 so the scales
+    separate), and micro_substeps the number of explicit diffusion substeps
+    per micro interval. D defaults to hbar/2m, the choice that turns the
+    averaged acceleration into the quantum-potential force.
     """
 
     D: float
     delta_t: float
-    Delta_t: float
     N_micro: int
     micro_substeps: int = 1
     scheme: str = "euler"
@@ -76,8 +77,6 @@ class TwoFluidConfig:
             )
         if self.micro_substeps < 1:
             raise ConfigError("micro_substeps must be at least 1")
-        if abs(self.Delta_t - self.N_micro * self.delta_t) > 1e-12 * self.Delta_t:
-            raise ConfigError("Delta_t must equal N_micro * delta_t")
         if self.scheme not in ("euler", "rk4"):
             raise ConfigError(f"unknown diffusion scheme {self.scheme!r}")
 
@@ -87,25 +86,17 @@ class TwoFluidConfig:
              scheme: str = "euler") -> "TwoFluidConfig":
         if D is None:
             D = hbar / (2.0 * m)
-        return cls(D=D, delta_t=delta_t, Delta_t=N_micro * delta_t,
-                   N_micro=N_micro, micro_substeps=micro_substeps, scheme=scheme)
+        return cls(D=D, delta_t=delta_t, N_micro=N_micro,
+                   micro_substeps=micro_substeps, scheme=scheme)
+
+    @property
+    def Delta_t(self) -> float:
+        """The averaging window, N_micro * delta_t."""
+        return self.N_micro * self.delta_t
 
     @property
     def dt_sub(self) -> float:
         return self.delta_t / self.micro_substeps
-
-
-@dataclass(frozen=True)
-class Fluid2State:
-    """Second-fluid density and velocity, plus time since the last jump."""
-
-    sigma: ScalarField
-    u: VectorField
-    t_since_jump: float
-
-    @classmethod
-    def at_equilibrium(cls, rho: ScalarField, D: float) -> "Fluid2State":
-        return cls(sigma=rho, u=fluid2_velocity(rho, D), t_since_jump=0.0)
 
 
 def fluid2_velocity(sigma: ScalarField, D: float,
@@ -131,8 +122,8 @@ def diffusion_stability_limit(grid: GridSpec, D: float) -> float:
     return min(h**2 for h in grid.spacing) / (4.0 * D)
 
 
-def fluid2_microstep(state: Fluid2State, dt_sub: float, D: float,
-                     scheme: str = "euler") -> Fluid2State:
+def fluid2_microstep(sigma: ScalarField, dt_sub: float, D: float,
+                     scheme: str = "euler") -> ScalarField:
     """One explicit substep of d(sigma)/dt = D laplacian(sigma).
 
     Forward Euler by default, classic RK4 when configured. The Laplacian is
@@ -142,13 +133,13 @@ def fluid2_microstep(state: Fluid2State, dt_sub: float, D: float,
     is conserved to rounding. It is also comfortably stable under forward
     Euler at the h^2/4D bound, which a spectral Laplacian would not be.
     """
-    limit = diffusion_stability_limit(state.sigma.grid, D)
+    grid = sigma.grid
+    limit = diffusion_stability_limit(grid, D)
     if dt_sub > limit:
         raise StabilityError(
             f"diffusion substep {dt_sub!r} exceeds the stability bound {limit!r}"
         )
-    grid = state.sigma.grid
-    s0 = state.sigma.values
+    s0 = sigma.values
 
     def rhs(vals):
         return D * sum(
@@ -163,55 +154,38 @@ def fluid2_microstep(state: Fluid2State, dt_sub: float, D: float,
         s1 = s0 + dt_sub / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
     else:
         s1 = s0 + dt_sub * rhs(s0)
-    sigma1 = ScalarField(grid, s1)
-    return Fluid2State(
-        sigma=sigma1,
-        u=fluid2_velocity(sigma1, D),
-        t_since_jump=state.t_since_jump + dt_sub,
-    )
+    return ScalarField(grid, s1)
 
 
-def jump_reset(state: Fluid2State, rho: ScalarField, D: float) -> Fluid2State:
-    """Instantaneous equalization sigma <- rho (exact elementwise copy).
-
-    The jump carries no model of its own; only the post-jump equality is
-    used. The velocity is re-derived from the fresh sigma via the osmotic
-    law, which is the one convention the jump leaves open.
-    """
-    return Fluid2State(sigma=rho, u=fluid2_velocity(rho, D), t_since_jump=0.0)
-
-
-def micro_acceleration(state: Fluid2State, D: float,
+def micro_acceleration(sigma: ScalarField, D: float,
                        floor_fraction: float = SIGMA_FLOOR_FRACTION) -> VectorField:
     """Closed-form parcel acceleration -2 D^2 grad(lap(sqrt(sigma))/sqrt(sigma))."""
-    sig = state.sigma.values
+    sig = sigma.values
     r = np.sqrt(np.maximum(sig, 0.0))
     r_safe = np.maximum(r, np.sqrt(floor_fraction * sig.max()))
-    ratio = laplacian(ScalarField(state.sigma.grid, r)).values / r_safe
-    grad_ratio = gradient(ScalarField(state.sigma.grid, ratio))
+    ratio = laplacian(ScalarField(sigma.grid, r)).values / r_safe
+    grad_ratio = gradient(ScalarField(sigma.grid, ratio))
     return VectorField(
-        state.sigma.grid,
+        sigma.grid,
         tuple(-2.0 * D**2 * c for c in grad_ratio.components),
     )
 
 
-def micro_acceleration_differenced(state: Fluid2State, dt_sub: float, D: float,
+def micro_acceleration_differenced(sigma: ScalarField, dt_sub: float, D: float,
                                    scheme: str = "euler") -> VectorField:
     """Cross-check mode: du/dt = (u(t+dt)-u(t))/dt + (u.grad)u.
 
-    First-order forward differencing of the micro-stepped velocity, so the
-    gap to the closed form shrinks linearly as the substep shrinks.
+    First-order forward differencing of the osmotic velocity of sigma and
+    of its micro-stepped successor, so the gap to the closed form shrinks
+    linearly as the substep shrinks.
     """
-    nxt = fluid2_microstep(state, dt_sub, D, scheme)
-    grid = state.sigma.grid
+    grid = sigma.grid
+    u0 = fluid2_velocity(sigma, D).components
+    u1 = fluid2_velocity(fluid2_microstep(sigma, dt_sub, D, scheme), D).components
     comps = []
     for i in range(grid.dims):
-        dudt = (nxt.u.components[i] - state.u.components[i]) / dt_sub
-        conv = sum(
-            state.u.components[j]
-            * fd_derivative(state.u.components[i], grid, j)
-            for j in range(grid.dims)
-        )
+        dudt = (u1[i] - u0[i]) / dt_sub
+        conv = sum(u0[j] * fd_derivative(u0[i], grid, j) for j in range(grid.dims))
         comps.append(dudt + conv)
     return VectorField(grid, tuple(comps))
 
@@ -222,13 +196,15 @@ RhoSeries = Union[ScalarField, Sequence[ScalarField]]
 def averaged_acceleration(rho_series: RhoSeries, cfg: TwoFluidConfig) -> VectorField:
     """Window average of the micro acceleration over N_micro jump cycles.
 
-    Each cycle resets sigma to the carrier density of its interval, diffuses
-    it through delta_t, and records the closed-form acceleration of the
-    diffused sigma (the state just before the next jump). rho_series is
-    either one static field or a sequence of N_micro per-interval fields.
+    Each cycle starts with the jump sigma <- rho_j to the carrier density of
+    its interval, diffuses sigma through delta_t, and records the
+    closed-form acceleration of the diffused sigma (the state just before
+    the next jump). rho_series is either one static field or a sequence of
+    N_micro per-interval fields. A static carrier makes every cycle the
+    same, so it runs one cycle, whose acceleration is the average.
     """
     if isinstance(rho_series, ScalarField):
-        series = [rho_series] * cfg.N_micro
+        series = [rho_series]
     else:
         series = list(rho_series)
         if len(series) != cfg.N_micro:
@@ -237,15 +213,14 @@ def averaged_acceleration(rho_series: RhoSeries, cfg: TwoFluidConfig) -> VectorF
             )
     grid = series[0].grid
     acc = [np.zeros(grid.shape) for _ in range(grid.dims)]
-    state = Fluid2State.at_equilibrium(series[0], cfg.D)
     for rho_j in series:
-        state = jump_reset(state, rho_j, cfg.D)
+        sigma = rho_j  # the jump
         for _ in range(cfg.micro_substeps):
-            state = fluid2_microstep(state, cfg.dt_sub, cfg.D, cfg.scheme)
-        a_j = micro_acceleration(state, cfg.D)
+            sigma = fluid2_microstep(sigma, cfg.dt_sub, cfg.D, cfg.scheme)
+        a_j = micro_acceleration(sigma, cfg.D)
         for i in range(grid.dims):
             acc[i] += a_j.components[i]
-    return VectorField(grid, tuple(a / cfg.N_micro for a in acc))
+    return VectorField(grid, tuple(a / len(series) for a in acc))
 
 
 @dataclass(frozen=True)
@@ -296,5 +271,4 @@ def osmotic_force_reference(rho: ScalarField, D: float,
     This is the window-average limit for static rho and, for D = hbar/2m,
     equals grad(Q)/m computed from the quantum potential of rho.
     """
-    state = Fluid2State.at_equilibrium(rho, D)
-    return micro_acceleration(state, D, floor_fraction)
+    return micro_acceleration(rho, D, floor_fraction)

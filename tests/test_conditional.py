@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 from qfluid.errors import ConditionalUndefinedError, ConfigError
-from qfluid.grids import GridSpec, ScalarField, WaveField
+from qfluid.grids import GridSpec, ScalarField, WaveField, _interp_values, complex_gradient
 from qfluid.oracle import Potential, gaussian_packet, stationary_states
 from qfluid.ensemble import (
+    NodeEvents,
     OracleTimeline,
     TrajectoryEnsemble,
     WaveTimeline,
@@ -21,7 +22,6 @@ from qfluid.conditional import (
     conditional_wavefunction,
     configuration_velocity,
     propagate_pair,
-    propagate_pair_ensemble,
 )
 from qfluid.measurement import joint_grid
 
@@ -101,7 +101,59 @@ class TestConditionalSlice:
             conditional_wavefunction(entangled, 2, 0.0)
 
 
+def inline_guiding_velocity(state, pair, particle, events=None):
+    """Conditional guidance as an inline formula on the slice, the form it
+    had before going through VelocityField: the same node floor (1e-12 of
+    the slice's largest |phi|^2), Nyquist cap and event counts."""
+    own = pair.x1 if particle == 0 else pair.x2
+    other = pair.x2 if particle == 0 else pair.x1
+    phi = conditional_wavefunction(state, particle, other).psi
+    dphi = complex_gradient(phi)[0]
+    phi_here = _interp_values(phi.values, phi.grid, np.array([own]))[0]
+    dphi_here = _interp_values(dphi, phi.grid, np.array([own]))[0]
+    m_i = state.masses[particle]
+    floor = 1e-12 * np.max(np.abs(phi.values) ** 2)
+    if abs(phi_here) ** 2 < floor:
+        if events is not None:
+            events.capped += 1
+            events.evaluations += 1
+        v_max = state.hbar * np.pi / (m_i * phi.grid.spacing[0])
+        raw = (state.hbar / m_i) * np.imag(dphi_here * np.conj(phi_here)) / floor
+        return float(np.clip(raw, -v_max, v_max))
+    if events is not None:
+        events.evaluations += 1
+    return float((state.hbar / m_i) * np.imag(dphi_here / phi_here))
+
+
 class TestGuidanceIdentity:
+    def test_matches_the_inline_formula(self, entangled):
+        ens = sample_equilibrium(entangled.psi.density(), 1000, seed=9)
+        events, expected_events = NodeEvents(), NodeEvents()
+        for x1, x2 in ens.positions:
+            pair = ParticlePair(float(x1), float(x2))
+            for particle in (0, 1):
+                v = conditional_guiding_velocity(entangled, pair, particle, events)
+                ref = inline_guiding_velocity(entangled, pair, particle,
+                                              expected_events)
+                assert abs(v - ref) <= 1e-13
+        assert events == expected_events == NodeEvents(evaluations=2000, capped=0)
+
+    def test_node_capped_like_the_inline_formula(self, line):
+        # particle 0 sits 1e-7 of a cell past an exact node of its slice
+        x = line.axis(0)
+        node = x[60]
+        a = (x - node) * np.exp(-(x**2) / 2 + 1.5j * x)
+        b = gaussian_packet(line, 0.8, center=1.0).values
+        state = ConfigWaveField(
+            WaveField(joint_grid(line, line), np.outer(a, b)).normalized()
+        )
+        pair = ParticlePair(float(node + 1e-7 * line.spacing[0]), 1.0)
+        events = NodeEvents()
+        v = conditional_guiding_velocity(state, pair, 0, events)
+        assert v == inline_guiding_velocity(state, pair, 0)
+        assert events == NodeEvents(evaluations=1, capped=1)
+        assert abs(v) == np.pi / line.spacing[0]  # clipped at the Nyquist velocity
+
     def test_slice_equals_configuration_gradient(self, entangled):
         ens = sample_equilibrium(entangled.psi.density(), 1000, seed=9)
         full = configuration_velocity(entangled).at(ens.positions)
@@ -196,7 +248,7 @@ class TestPairTransport:
         dt = period / steps
         ens = sample_equilibrium(psi0.density(), 10000, seed=77)
         timeline = OracleTimeline(psi0, joint_pot, dt)
-        res = propagate_pair_ensemble(ens, timeline, dt, steps, record_history=False)
+        res = propagate_ensemble(ens, timeline, dt, steps, record_history=False)
         l1 = equivariance_distance(res.ensemble, timeline.at(period), 32)
         assert l1 <= 0.05
         assert not res.degraded

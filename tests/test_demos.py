@@ -1,6 +1,6 @@
-"""Smoke tests for the narrative demos that drive the stencil, spectral,
-split-step and pointer kernels: each runs as a script and prints its key
-results."""
+"""Smoke tests for the narrative demos: each runs as a script at full size
+and prints its key results. Demos 03 and 04 are the end-to-end runs of a
+demo on the stored and the streaming timeline."""
 
 import os
 import re
@@ -29,6 +29,22 @@ def test_hydrodynamic_vs_spectral_demo():
     gap = re.search(r"density L2 gap at t=0\.5:\s+(\S+)", out)
     assert gap and float(gap.group(1)) < 1e-9
     assert "wave-function gap (phase-aligned):" in out
+
+
+def test_guided_trajectories_equivariance_demo():
+    out = run_demo("03_guided_trajectories_equivariance.py")
+    rows = re.findall(r"^ +\d+\.\d\d +(\S+)$", out, re.MULTILINE)
+    assert len(rows) == 11
+    assert all(float(l1) <= 0.03 for l1 in rows)
+    assert "(degraded run: False)" in out
+
+
+def test_relaxation_to_born_rule_demo():
+    out = run_demo("04_relaxation_to_born_rule.py")
+    rows = re.findall(r"^ +\d\.\d\d +(\S+)$", out, re.MULTILINE)
+    assert len(rows) == 11
+    decay = re.search(r"decay over one period: (\d+)%", out)
+    assert decay and int(decay.group(1)) >= 50
 
 
 def test_pointer_measurement_demo():

@@ -128,6 +128,12 @@ class TestSweep:
         with pytest.raises(ConfigError, match="rel_err_vs_gradQ"):
             sweep(fast_config(), "delta_t", [2e-4, 1e-4, 5e-5], tmp_path)
 
+    @pytest.mark.parametrize("bad", [0.0, -1e-4, float("nan"), float("inf")])
+    def test_non_positive_or_non_finite_value_rejected_before_any_run(self, tmp_path, bad):
+        with pytest.raises(ConfigError, match="sweep values"):
+            sweep(fast_config(), "delta_t", [bad, 1e-4, 5e-5], tmp_path)
+        assert not (tmp_path / "value_0").exists()
+
 
 class TestReport:
     def test_aggregates_and_flags_failures(self, tmp_path):
@@ -235,6 +241,18 @@ class TestCli:
         self.assert_config_error(tmp_path, capsys, {
             "scenario": "relaxation", "n_trajectories": 100, "steps": 10,
             "checkpoints": 20})
+
+    @pytest.mark.parametrize("doc", [
+        {"scenario": "equivariance", "n_trajectories": 200, "steps": 20,
+         "checkpoints": 2, "dt": 0.5},
+        {"scenario": "twofluid-verify", "steps": 5, "seed": 3, "dt": 0.1},
+    ])
+    def test_key_the_scenario_never_reads_exit_two(self, tmp_path, capsys, doc):
+        self.assert_config_error(tmp_path, capsys, doc)
+
+    def test_run_brute_must_be_a_boolean_exit_two(self, tmp_path, capsys):
+        self.assert_config_error(tmp_path, capsys, {
+            "scenario": "measurement", "run_brute": "false"})
 
     @pytest.mark.parametrize("key", ["constants", "grid", "tolerances"])
     def test_non_object_sub_config_exit_two(self, tmp_path, capsys, key):
