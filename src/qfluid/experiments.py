@@ -10,6 +10,7 @@ output byte (the manifest's wall_time_s field is the one exception).
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from dataclasses import dataclass
@@ -17,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, QFluidError
 from .grids import GridSpec, ScalarField, WaveField, gradient
 from .fieldio import write_field_csv, write_vector_csv
 from .oracle import (
@@ -190,9 +191,45 @@ class RunManifest:
         }
 
     def write(self, outdir: Path) -> Path:
-        path = outdir / "run_manifest.json"
-        path.write_text(json.dumps(self.to_dict(), indent=2, sort_keys=True) + "\n")
-        return path
+        return _write_json(outdir / "run_manifest.json", self.to_dict())
+
+
+def _as_integer(key: str, value) -> int:
+    """A config value that must be an integer. int() would truncate 2.7 to
+    2 and read true as 1, so a bool, a non-integral number or a non-number
+    is a ConfigError; an integral float such as 640.0 is accepted."""
+    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
+        return int(value)
+    if isinstance(value, (float, np.floating)) and float(value).is_integer():
+        return int(value)
+    raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
+
+
+def _integer(cfg: ExperimentConfig, key: str, default: int) -> int:
+    return _as_integer(key, cfg.get(key, default))
+
+
+def _non_finite(doc, path: str = "") -> list[str]:
+    """Paths (a.b[2].c) of the non-finite floats in a JSON-ready document."""
+    if isinstance(doc, float):
+        return [] if math.isfinite(doc) else [path]
+    if isinstance(doc, dict):
+        return [bad for key, value in doc.items()
+                for bad in _non_finite(value, f"{path}.{key}" if path else str(key))]
+    if isinstance(doc, (list, tuple)):
+        return [bad for i, value in enumerate(doc)
+                for bad in _non_finite(value, f"{path}[{i}]")]
+    return []
+
+
+def _write_json(path: Path, doc: dict) -> Path:
+    """Write a manifest as strict JSON: a non-finite value raises a
+    QFluidError that names its key instead of writing a NaN token."""
+    bad = _non_finite(doc)
+    if bad:
+        raise QFluidError(f"{path.name}: non-finite value at {', '.join(bad)}")
+    path.write_text(json.dumps(doc, indent=2, sort_keys=True, allow_nan=False) + "\n")
+    return path
 
 
 def _grid_from_config(cfg: ExperimentConfig, default_extent, default_points) -> GridSpec:
@@ -232,7 +269,7 @@ def _scenario_oracle_evolve(cfg: ExperimentConfig, outdir: Path):
     if "t_end" in cfg.params:
         steps = round(float(cfg.params["t_end"]) / dt)
     else:
-        steps = int(cfg.get("steps", 6283))
+        steps = _integer(cfg, "steps", 6283)
     omega = float(cfg.get("constants", {}).get("omega", 1.0))
 
     if kind == "harmonic-ground":
@@ -250,7 +287,7 @@ def _scenario_oracle_evolve(cfg: ExperimentConfig, outdir: Path):
         potential = Potential.free(grid)
         reference = None
     elif kind == "plane-wave":
-        psi0 = plane_wave(grid, int(cfg.get("mode", 3)))
+        psi0 = plane_wave(grid, _integer(cfg, "mode", 3))
         potential = Potential.free(grid)
         reference = None
     else:
@@ -288,7 +325,7 @@ def _scenario_madelung_compare(cfg: ExperimentConfig, outdir: Path):
     s0 = float(cfg.get("width", 1.0))
     momentum = float(cfg.get("momentum", 2.0))
     dt_snap = float(cfg.get("dt", 1e-3))
-    n_windows = int(cfg.get("snapshot_windows", 5))
+    n_windows = _integer(cfg, "snapshot_windows", 5)
     potential = Potential.free(grid)
 
     # residuals from consecutive oracle snapshots at several times
@@ -355,8 +392,8 @@ def _scenario_twofluid_verify(cfg: ExperimentConfig, outdir: Path):
     grid = _grid_from_config(cfg, 12.0, 512)
     s = float(cfg.get("width", 1.0))
     delta_t = float(cfg.get("delta_t", 1e-4))
-    n_micro = int(cfg.get("n_micro", 16))
-    substeps = int(cfg.get("micro_substeps", 1))
+    n_micro = _integer(cfg, "n_micro", 16)
+    substeps = _integer(cfg, "micro_substeps", 1)
 
     # periodized so the density is genuinely smooth across the seam and
     # never reaches the regularization floor anywhere on the grid
@@ -413,12 +450,12 @@ def _scenario_equivariance(cfg: ExperimentConfig, outdir: Path):
     hbar, m = cfg.constants()
     omega = float(cfg.get("constants", {}).get("omega", 1.0))
     grid = _grid_from_config(cfg, 24.0, 512)
-    n_traj = int(cfg.get("n_trajectories", 100000))
-    steps = int(cfg.get("steps", 640))
-    bins = int(cfg.get("bins", 64))
-    checkpoints = int(cfg.get("checkpoints", 10))
+    n_traj = _integer(cfg, "n_trajectories", 100000)
+    steps = _integer(cfg, "steps", 640)
+    bins = _integer(cfg, "bins", 64)
+    checkpoints = _integer(cfg, "checkpoints", 10)
     _check_checkpoints(checkpoints, steps)
-    seed = int(cfg.get("seed", 42))
+    seed = _integer(cfg, "seed", 42)
 
     potential = Potential.harmonic(grid, omega, m)
     pairs = stationary_states(potential, 2, hbar, m)
@@ -484,13 +521,13 @@ def _scenario_relaxation(cfg: ExperimentConfig, outdir: Path):
     omega_x = float(cfg.get("constants", {}).get("omega", 1.0))
     omega_y = float(cfg.get("omega_y", omega_x * 0.5 * (1 + np.sqrt(5.0))))
     grid = _grid_from_config(cfg, (20.0, 20.0), (128, 128))
-    n_traj = int(cfg.get("n_trajectories", 20000))
-    steps = int(cfg.get("steps", 1200))
-    cell = int(cfg.get("cell_size", 8))
-    checkpoints = int(cfg.get("checkpoints", 10))
+    n_traj = _integer(cfg, "n_trajectories", 20000)
+    steps = _integer(cfg, "steps", 1200)
+    cell = _integer(cfg, "cell_size", 8)
+    checkpoints = _integer(cfg, "checkpoints", 10)
     _check_checkpoints(checkpoints, steps)
-    phase_seed = int(cfg.get("phase_seed", 2))
-    seed = int(cfg.get("seed", 102))
+    phase_seed = _integer(cfg, "phase_seed", 2)
+    seed = _integer(cfg, "seed", 102)
     start_half_width = float(cfg.get("start_half_width", 2.5))
     mode_index = cfg.get("mode_index", [2, 3, 5, 7])
 
@@ -565,11 +602,11 @@ def _scenario_measurement(cfg: ExperimentConfig, outdir: Path):
     coupling = float(cfg.get("constants", {}).get("lambda", 1.0))
     grid_x = _grid_from_config(cfg, 24.0, 256)
     y_extent = float(cfg.get("y_extent", 16.0))
-    y_points = int(cfg.get("y_points", 256))
+    y_points = _integer(cfg, "y_points", 256)
     grid_y = GridSpec.centered(y_extent, y_points)
     pointer_width = float(cfg.get("pointer_width", 0.5))
     pointer_center = float(cfg.get("pointer_center", -4.0))
-    k_single = int(cfg.get("single_mode", 2))
+    k_single = _integer(cfg, "single_mode", 2)
     t_single = float(cfg.get("duration_single", 2.0))
     t_pair = float(cfg.get("duration_pair", 4.0))
     run_brute = cfg.get("run_brute", True)
@@ -617,7 +654,7 @@ def _scenario_measurement(cfg: ExperimentConfig, outdir: Path):
     ]
 
     if run_brute:
-        nb = int(cfg.get("brute_points", 128))
+        nb = _integer(cfg, "brute_points", 128)
         bx = GridSpec.centered(grid_x.extent[0], nb)
         by = GridSpec.centered(y_extent, nb)
         bu = Potential.harmonic(bx, omega, m)
@@ -645,10 +682,10 @@ def _scenario_conditional_pair(cfg: ExperimentConfig, outdir: Path):
     hbar, m = cfg.constants()
     grid1 = _grid_from_config(cfg, 16.0, 128)
     grid2 = joint_grid(grid1, grid1)
-    n_samples = int(cfg.get("n_samples", 1000))
-    seed = int(cfg.get("seed", 9))
+    n_samples = _integer(cfg, "n_samples", 1000)
+    seed = _integer(cfg, "seed", 9)
     omega = float(cfg.get("constants", {}).get("omega", 1.0))
-    steps = int(cfg.get("steps", 400))
+    steps = _integer(cfg, "steps", 400)
 
     a = gaussian_packet(grid1, 0.7, center=-2.5, momentum=0.8, hbar=hbar)
     b = gaussian_packet(grid1, 0.7, center=2.5, momentum=-0.4, hbar=hbar)
@@ -827,16 +864,15 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list[float],
             f"sweep values must be positive and finite for the log-log fit, "
             f"got {bad!r}"
         )
+    if parameter in ("n_trajectories", "steps"):
+        values = [_as_integer(parameter, v) for v in values]
     outdir = Path(outdir) if outdir is not None else _resolve_outdir(cfg) / "sweep"
     outdir.mkdir(parents=True, exist_ok=True)
     metrics = []
     manifests = []
     for i, value in enumerate(values):
         params = dict(cfg.params)
-        if parameter == "n_trajectories" or parameter == "steps":
-            params[parameter] = int(value)
-        else:
-            params[parameter] = value
+        params[parameter] = value
         sub = ExperimentConfig(scenario=cfg.scenario, params=params)
         manifest = run(sub, outdir / f"value_{i}")
         if metric_name not in manifest.metrics:
@@ -857,9 +893,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list[float],
     _write_table(outdir / "sweep.csv",
                  [parameter, metric_name],
                  [[v, m] for v, m in zip(result.values, result.metrics)])
-    (outdir / "sweep_manifest.json").write_text(
-        json.dumps(result.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(outdir / "sweep_manifest.json", result.to_dict())
     return result
 
 
@@ -918,9 +952,7 @@ def report(directory, outdir=None) -> ReportSummary:
         integrity_errors=integrity,
     )
     outdir = Path(outdir) if outdir is not None else directory
-    (outdir / "report.json").write_text(
-        json.dumps(summary.to_dict(), indent=2, sort_keys=True) + "\n"
-    )
+    _write_json(outdir / "report.json", summary.to_dict())
     lines = [
         f"runs: {summary.total}  passed: {summary.passed}",
     ]

@@ -128,6 +128,11 @@ class GridSpec:
         return self._wavenumbers[i]
 
     @cached_property
+    def _derivative_factors(self) -> dict:
+        """grids._spectral_derivative's factors, keyed by (axis, scale)."""
+        return {}
+
+    @cached_property
     def _wavenumbers(self) -> tuple[np.ndarray, ...]:
         tables = []
         for n, h in zip(self.points, self.spacing):
@@ -152,9 +157,15 @@ class GridSpec:
         return k2
 
     def axis_line(self, i: int) -> "GridSpec":
-        """The 1D grid along axis i of a 2D grid."""
-        return GridSpec(
-            extent=(self.extent[i],), points=(self.points[i],), origin=(self.origin[i],)
+        """The 1D grid along axis i of a 2D grid. Built once per grid, so
+        every slice along an axis shares one line and its cached tables."""
+        return self._lines[i]
+
+    @cached_property
+    def _lines(self) -> tuple["GridSpec", ...]:
+        return tuple(
+            GridSpec(extent=(L,), points=(n,), origin=(o,))
+            for L, n, o in zip(self.extent, self.points, self.origin)
         )
 
     def wrap(self, x: np.ndarray, i: int = 0) -> np.ndarray:
@@ -289,22 +300,21 @@ def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int,
 
     The Nyquist mode is zeroed, which makes odd derivatives of real data
     real and avoids the asymmetric lone mode. scale multiplies the
-    wavenumbers, so the output needs no second scaling pass.
+    wavenumbers, so the output needs no second scaling pass; the factor
+    1j * scale * k is built once per grid, axis and scale.
     """
-    n = grid.points[axis]
-    k = grid.wavenumbers(axis) * scale
-    if n % 2 == 0:
-        k[n // 2] = 0.0
-    shape = [1] * grid.dims
-    shape[axis] = -1
-    if np.iscomplexobj(values):
+    factor = grid._derivative_factors.get((axis, scale))
+    if factor is None:
+        factor = grid._derivative_factors[axis, scale] = _derivative_factor(
+            grid, axis, scale)
+    if values.dtype.kind == "c":
         # one element with both parts non-zero settles it without two scans
         probe = values.flat[values.size // 2]
         has_re = bool(probe.real) or values.real.any()
         has_im = bool(probe.imag) or values.imag.any()
         if has_re and has_im:
             fk = np.fft.fft(values, axis=axis)
-            fk *= 1j * k.reshape(shape)
+            fk *= factor[0]
             return np.fft.ifft(fk, axis=axis)
         out = np.zeros(values.shape, dtype=complex)
         if has_im:
@@ -313,8 +323,25 @@ def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int,
             out.real = _spectral_derivative(values.real, grid, axis, scale)
         return out
     fk = np.fft.rfft(values, axis=axis)
-    fk *= 1j * k[: n // 2 + 1].reshape(shape)
-    return np.fft.irfft(fk, n, axis=axis)
+    fk *= factor[1]
+    return np.fft.irfft(fk, grid.points[axis], axis=axis)
+
+
+def _derivative_factor(grid: GridSpec, axis: int,
+                       scale: float) -> tuple[np.ndarray, np.ndarray]:
+    """1j * scale * k along one axis with the Nyquist mode zeroed, shaped to
+    broadcast against a field: the full spectrum and its rfft half."""
+    n = grid.points[axis]
+    k = grid.wavenumbers(axis) * scale
+    if n % 2 == 0:
+        k[n // 2] = 0.0
+    shape = [1] * grid.dims
+    shape[axis] = -1
+    full = 1j * k.reshape(shape)
+    half = 1j * k[: n // 2 + 1].reshape(shape)
+    full.setflags(write=False)
+    half.setflags(write=False)
+    return full, half
 
 
 def _spectral_laplacian(values: np.ndarray, grid: GridSpec) -> np.ndarray:

@@ -23,6 +23,7 @@ from qfluid.oracle import (
     probability_current,
     stationary_states,
 )
+from qfluid import ensemble as ensemble_module
 from qfluid.ensemble import (
     HistogramGrid,
     NodeEvents,
@@ -540,3 +541,135 @@ def test_velocity_field_rejects_nan_psi():
     values[5, 7] = complex(np.nan, 0.0)
     with pytest.raises(NonFiniteFieldError):
         VelocityField(WaveField(_PLANE, values))
+
+
+def _whole_array_rk4(ens, timeline, dt, steps):
+    """propagate_ensemble as one pass over the whole ensemble per RK4 stage,
+    the loop before blocking: final positions, history and events."""
+    grid = ens.grid
+    x = np.array(ens.positions, dtype=float)
+    events = ensemble_module._TrajectoryEvents(ever_capped=np.zeros(ens.size, dtype=bool))
+    history = [x.copy()]
+    t = timeline.t0
+    shift_in = ensemble_module._shift_in
+    for _ in range(steps):
+        v0 = timeline.velocity(t)
+        vh = timeline.velocity(t + dt / 2.0)
+        v1 = timeline.velocity(t + dt)
+        k1 = v0.at(x, events)
+        k2 = vh.at(shift_in(x + 0.5 * dt * k1, grid), events)
+        k3 = vh.at(shift_in(x + 0.5 * dt * k2, grid), events)
+        k4 = v1.at(shift_in(x + dt * k3, grid), events)
+        x = shift_in(x + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), grid, exact=True)
+        t += dt
+        history.append(x.copy())
+    return x, np.array(history), events
+
+
+def _node_timeline(dims, dt, steps):
+    """A twisted field with a node at x = 0 (a grid node) that moves with
+    the split-step propagator in 1D and stays static in 2D."""
+    if dims == 1:
+        grid = GridSpec.centered(24.0, 128)
+        x = grid.axis(0)
+        psi = WaveField(grid, x * np.exp(-x**2 / 2 + 0.5j * x)).normalized()
+        return WaveTimeline.from_oracle(psi, Potential.harmonic(grid, 1.0), dt, steps)
+    grid = GridSpec.centered((16.0, 12.0), (32, 24))
+    x, y = grid.meshgrid()
+    psi = WaveField(grid, x * np.exp(-(x**2 + y**2) / 2 + 1j * (0.5 * x + 0.3 * y)))
+    return WaveTimeline(0.0, dt / 2, [psi] * (2 * steps + 1))
+
+
+B = ensemble_module._BLOCK
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("size", [0, 1, B - 1, B, B + 1, 2 * B + 5])
+def test_blocked_transport_equals_whole_array_loop(dims, size):
+    dt, steps = 0.05, 3
+    timeline = _node_timeline(dims, dt, steps)
+    grid = timeline.grid
+    rng = np.random.default_rng(size + dims)
+    lo = np.array(grid.origin)
+    positions = rng.uniform(lo, lo + np.array(grid.extent), size=(size, dims))
+    # trajectories on the node line, on both sides of each block boundary
+    on_node = [i for i in (0, B - 1, B, 2 * B + 4) if i < size]
+    positions[on_node, 0] = 0.0
+    if dims == 1:
+        positions = positions[:, 0]
+    ens = TrajectoryEnsemble(grid=grid, positions=positions, seed=0)
+    res = propagate_ensemble(ens, timeline, dt, steps)
+    x, history, events = _whole_array_rk4(ens, timeline, dt, steps)
+    assert np.array_equal(res.ensemble.positions, x)
+    assert np.array_equal(res.ensemble.history, history)
+    assert (res.events.evaluations, res.events.capped) == (events.evaluations, events.capped)
+    assert res.capped_trajectories == int(events.ever_capped.sum())
+    assert res.capped_trajectories >= len(on_node)
+    assert res.events.evaluations == 4 * steps * size
+
+
+def test_lookup_near_mid_cell_node_matches_long_double_lerp():
+    # a twisted field whose node sits halfway between two grid nodes; the
+    # vertex-form denominator keeps the digits an expanded quadratic loses
+    grid = GridSpec.centered(24.0, 512)
+    h = grid.spacing[0]
+    x0 = grid.origin[0] + 256.5 * h
+    x = grid.axis(0)
+    psi = WaveField(grid, (x - x0) * np.exp(-(x - x0)**2 / 2 + 0.5j * x))
+    (g,) = complex_gradient(psi)
+    distances = np.array([1e-1, 1e-2, 1e-3, 1e-4, 1e-5])
+    positions = np.concatenate([x0 - distances * h, x0 + distances * h])
+    events = NodeEvents()
+    got = VelocityField(psi).at(positions, events)
+    assert events.capped == 0
+
+    u = positions - grid.origin[0]
+    u /= h
+    i0 = np.floor(u).astype(np.int64)
+    w = (u - i0).astype(np.longdouble)
+    i1 = (i0 + 1) % grid.points[0]
+
+    def lerp(values):
+        values = values.astype(np.clongdouble)
+        return (1 - w) * values[i0] + w * values[i1]
+
+    here, slope = lerp(psi.values), lerp(g)
+    want = (slope.imag * here.real - slope.real * here.imag) / (here.real**2 + here.imag**2)
+    rel = np.abs((got - want) / want).astype(float)
+    assert rel.max() <= 1e-13, rel
+
+
+@pytest.mark.parametrize("shape", ["constant", "plateau"])
+def test_flat_cells_give_finite_velocity_without_warnings(shape):
+    # a constant field is flat in every cell (on a power-of-two grid its
+    # spectral derivative is exactly zero); the plateau has flat cells next
+    # to a smooth rise
+    grid = GridSpec.centered(24.0, 128)
+    x = grid.axis(0)
+    if shape == "constant":
+        values = np.full(x.shape, 0.3 + 0.4j)
+    else:
+        values = (0.3 + 0.4j) * np.where(x < 0, 1.0, 1.0 + np.sin(x / 2)**2 * np.exp(0.2j * x))
+    psi = WaveField(grid, values)
+    positions = np.linspace(grid.origin[0], grid.origin[0] + grid.extent[0], 997,
+                            endpoint=False)
+    with np.errstate(all="raise"):
+        got = VelocityField(psi).at(positions)
+    assert np.all(np.isfinite(got))
+    if shape == "constant":
+        assert np.all(got == 0.0)
+    else:
+        want, _ = _reference_velocity(psi, positions, 1.0, 1.0)
+        assert np.all(np.abs(got - want) <= 1e-13 * np.maximum(np.abs(want), 1.0))
+
+
+def test_step_wrap_leaves_in_domain_points_untouched():
+    # two points more than a period outside need the mod fallback; the
+    # points already inside keep their bits, whatever else is in the batch
+    grid = GridSpec.centered(24.0, 128)
+    inside = np.random.default_rng(0).normal(0.0, 3.0, 200)
+    batch = np.concatenate([inside, [40.3, -37.9]])
+    out = ensemble_module._shift_in(batch.copy(), grid, exact=True)
+    assert np.array_equal(out[:200], inside)
+    assert np.all((out >= -12.0) & (out < 12.0))
+    assert out[200:] == pytest.approx([-7.7, -13.9 + 24.0], abs=1e-12)

@@ -5,9 +5,10 @@ import json
 import pytest
 
 from qfluid.cli import main as cli_main
-from qfluid.errors import ConfigError
+from qfluid.errors import ConfigError, QFluidError
 from qfluid import experiments
 from qfluid.experiments import (
+    Criterion,
     ExperimentConfig,
     OUTPUT_ROOT_ENV,
     RunManifest,
@@ -227,6 +228,7 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1, err
         assert "Traceback" not in err
+        return err
 
     def test_zero_checkpoints_exit_two(self, tmp_path, capsys):
         self.assert_config_error(tmp_path, capsys, {
@@ -266,3 +268,55 @@ class TestCli:
         )
         assert cli_main(["sweep", cfg, "--param", "delta_t",
                          "--values", "a,b,c"]) == 2
+
+    @pytest.mark.parametrize("doc", [
+        {"scenario": "oracle-evolve", "kind": "harmonic-ground", "dt": 1e-3, "steps": 2.7},
+        {"scenario": "equivariance", "n_trajectories": 200.9, "steps": 20, "checkpoints": 2},
+        {"scenario": "oracle-evolve", "kind": "harmonic-ground", "dt": 1e-3, "steps": True},
+    ], ids=["fractional-steps", "fractional-trajectories", "boolean-steps"])
+    def test_non_integral_count_exit_two(self, tmp_path, capsys, doc):
+        key = "n_trajectories" if "n_trajectories" in doc else "steps"
+        err = self.assert_config_error(tmp_path, capsys, doc)
+        assert f"{key!r} must be an integer" in err
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+    def test_sweep_non_integral_count_exit_two_before_any_run(self, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        cfg = self.write_config(tmp_path, {
+            "scenario": "equivariance", "n_trajectories": 100, "checkpoints": 1,
+            "output_dir": str(out_dir)})
+        assert cli_main(["sweep", cfg, "--param", "steps",
+                         "--values", "20,30.5,40"]) == 2
+        assert "'steps' must be an integer" in capsys.readouterr().err
+        assert not (out_dir / "sweep" / "value_0").exists()
+
+    def test_non_finite_manifest_value_exit_two(self, tmp_path, capsys, monkeypatch):
+        def scenario(cfg, outdir):
+            nan = float("nan")
+            return ({"rel_err_vs_gradQ": nan}, [Criterion("rel_err_vs_gradQ", nan, 1e-3)],
+                    [], 0)
+
+        monkeypatch.setitem(experiments.SCENARIOS, "twofluid-verify", scenario)
+        path = tmp_path / "config.json"
+        path.write_text('{"scenario": "twofluid-verify", "width": Infinity, '
+                        f'"output_dir": "{tmp_path / "out"}"}}')
+        assert cli_main(["run", str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: run_manifest.json: non-finite value at ")
+        for key in ("config.width", "metrics.rel_err_vs_gradQ", "criteria[0].value"):
+            assert key in err
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+
+def test_integral_float_count_is_accepted(tmp_path):
+    cfg = ExperimentConfig.from_dict({"scenario": "oracle-evolve", "kind": "harmonic-ground",
+                                      "dt": 1e-3, "steps": 20.0})
+    assert run(cfg, tmp_path).passed
+
+
+def test_manifest_writer_names_every_non_finite_key(tmp_path):
+    doc = {"values": [1.0, float("inf")], "fitted_order": float("nan"), "n": 3}
+    with pytest.raises(QFluidError, match=r"sweep_manifest.json: non-finite value at "
+                                          r"values\[1\], fitted_order"):
+        experiments._write_json(tmp_path / "sweep_manifest.json", doc)
+    assert not (tmp_path / "sweep_manifest.json").exists()
