@@ -76,6 +76,7 @@ from .conditional import (
     ConfigWaveField,
     ParticlePair,
     conditional_guiding_velocity,
+    conditional_guiding_velocities,
     conditional_wavefunction,
     propagate_pair,
 )

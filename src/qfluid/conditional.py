@@ -10,6 +10,13 @@ slicing commutes with differentiating along the other axis, so the two
 evaluation routes agree to rounding. propagate_pair exploits that identity
 and moves pairs with the (vectorized) configuration-space velocity.
 
+conditional_guiding_velocities evaluates one particle's conditional
+velocity for many pairs in one pass: one gather lerps every slice, one
+spectral derivative differentiates them all, and each slice is evaluated
+on its own cell only, by the 1D VelocityField cell formula (node floor per
+slice, Nyquist cap, event counts). conditional_guiding_velocity is its
+one-pair case.
+
 For product states psi_a(x1) psi_b(x2) the conditional slice is proportional
 to the particle's own factor whatever the conditioning position, and pair
 trajectories reduce to two independent single-particle problems.
@@ -22,8 +29,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionalUndefinedError, ConfigError
-from .grids import GridSpec, WaveField, _interp_weights
-from .ensemble import NodeEvents, TrajectoryEnsemble, VelocityField, propagate_ensemble
+from .grids import GridSpec, WaveField, _check_finite, _interp_weights, _spectral_derivative
+from .ensemble import (NODE_FLOOR_FRACTION, NodeEvents, TrajectoryEnsemble, VelocityField,
+                       _cell_rows, _cell_terms, _floored_ratios, propagate_ensemble)
 
 __all__ = [
     "ConfigWaveField",
@@ -31,6 +39,7 @@ __all__ = [
     "ConditionalWave",
     "conditional_wavefunction",
     "conditional_guiding_velocity",
+    "conditional_guiding_velocities",
     "configuration_velocity",
     "propagate_pair",
 ]
@@ -89,6 +98,35 @@ class ConditionalWave:
         return WaveField(self.psi.grid, self.psi.values / self.norm)
 
 
+def _slices(state: ConfigWaveField, particle: int,
+            other_positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Conditional slices at each of the other particle's positions, shape
+    (n, N) along the particle's own axis, and their norms.
+
+    One gather lerps every slice between the grid lines that bracket its
+    position (periodic wrap). Raises when some slice norm is negligible: the
+    conditional state is undefined there.
+    """
+    if particle not in (0, 1):
+        raise ConfigError("particle index must be 0 or 1")
+    grid = state.grid
+    other_axis = 1 - particle
+    values = np.moveaxis(state.psi.values, other_axis, 0)
+    j0, w = _interp_weights(grid, other_positions, other_axis)
+    j1 = (j0 + 1) % grid.points[other_axis]
+    w = w[:, None]
+    slices = (1.0 - w) * values[j0] + w * values[j1]
+    norms = np.sqrt(np.sum(np.abs(slices) ** 2, axis=1) * grid.spacing[particle])
+    low = np.flatnonzero(norms < 1e-10)
+    if low.size:
+        k = low[0]
+        raise ConditionalUndefinedError(
+            f"conditional slice at {float(other_positions[k])!r} has norm "
+            f"{float(norms[k])!r}"
+        )
+    return slices, norms
+
+
 def conditional_wavefunction(state: ConfigWaveField, particle: int,
                              other_position: float) -> ConditionalWave:
     """Slice of the joint state at the other particle's actual position.
@@ -98,40 +136,60 @@ def conditional_wavefunction(state: ConfigWaveField, particle: int,
     interpolation between grid lines, periodic wrap). Raises when the slice
     norm is negligible: the conditional state is undefined there.
     """
-    if particle not in (0, 1):
-        raise ConfigError("particle index must be 0 or 1")
+    slices, norms = _slices(state, particle, np.array([other_position], dtype=float))
+    return ConditionalWave(psi=WaveField(state.grid.axis_line(particle), slices[0]),
+                           norm=float(norms[0]))
+
+
+def conditional_guiding_velocities(state: ConfigWaveField, positions: np.ndarray,
+                                   particle: int,
+                                   events: NodeEvents | None = None) -> np.ndarray:
+    """One particle's conditional velocity at n pair positions, shape (n,).
+
+    positions has shape (n, 2), one (x1, x2) row per pair. Row k takes the
+    slice at the other particle's coordinate and
+    v = (hbar / m_i) Im( d(phi)/dx / phi ) at the particle's own one. One
+    _spectral_derivative call differentiates all slices along the particle's
+    axis of the joint grid, and each slice is evaluated on its own cell only,
+    by the cell formula of a 1D VelocityField (ensemble._cell_rows): the
+    node floor (1e-12 of that slice's largest |phi|^2), the Nyquist cap and
+    the event counts are those of a VelocityField of the slice. Equal, to
+    rounding, to the corresponding component of configuration_velocity.
+    """
+    pos = np.asarray(positions, dtype=float).reshape(-1, 2)
+    phi, _ = _slices(state, particle, pos[:, 1 - particle])
+    n = len(phi)
+    if n == 0:
+        return np.zeros(0)
+    peaks = np.maximum.reduce(np.abs(phi), axis=1) ** 2
+    if not np.isfinite(peaks).all():
+        _check_finite(phi, "velocity field input")
     grid = state.grid
-    other_axis = 1 - particle
-    values = np.moveaxis(state.psi.values, other_axis, 0)
-    j0, w = _interp_weights(grid, np.asarray(other_position, dtype=float), other_axis)
-    j1 = (j0 + 1) % grid.points[other_axis]
-    slice_vals = (1.0 - w) * values[j0] + w * values[j1]
-    line = grid.axis_line(particle)
-    phi = WaveField(line, slice_vals)
-    norm = phi.norm()
-    if norm < 1e-10:
-        raise ConditionalUndefinedError(
-            f"conditional slice at {other_position!r} has norm {norm!r}"
-        )
-    return ConditionalWave(psi=phi, norm=norm)
+    m_i = state.masses[particle]
+    # the joint grid's axis `particle` runs along the slices: axis 0 of phi.T
+    # for particle 0, axis 1 of phi for particle 1
+    g = np.moveaxis(_spectral_derivative(np.moveaxis(phi, 1, particle), grid,
+                                         particle, state.hbar / m_i), particle, 1)
+    i0, w = _interp_weights(grid, pos[:, particle], particle)
+    i1 = (i0 + 1) % grid.points[particle]
+    k = np.arange(n)
+    a, c = phi[k, i0], g[k, i0]
+    rows = _cell_rows(a, phi[k, i1] - a, c, g[k, i1] - c, float(peaks.max()))
+    v, rho = _cell_terms(rows, w)
+    v_max = state.hbar * np.pi / (m_i * grid.spacing[particle])
+    flagged = _floored_ratios([v], rho, NODE_FLOOR_FRACTION * peaks, (v_max,))
+    if events is not None:
+        events.record(flagged)
+    return v
 
 
 def conditional_guiding_velocity(state: ConfigWaveField, pair: ParticlePair,
                                  particle: int,
                                  events: NodeEvents | None = None) -> float:
-    """Particle velocity from its conditional wave function.
-
-    v_i = (hbar / m_i) Im( d(phi)/dx / phi ) at the particle's position,
-    with the slice taken at the other particle's position, evaluated by a
-    1D VelocityField of the slice (its node floor, Nyquist cap and event
-    counts apply). Equal, to rounding, to the corresponding component of
-    configuration_velocity.
-    """
-    own = pair.x1 if particle == 0 else pair.x2
-    other = pair.x2 if particle == 0 else pair.x1
-    cond = conditional_wavefunction(state, particle, other)
-    field = VelocityField(cond.psi, state.hbar, state.masses[particle])
-    return float(field.at(np.array([own]), events)[0])
+    """Particle velocity from its conditional wave function: the one-pair
+    case of conditional_guiding_velocities."""
+    return float(conditional_guiding_velocities(state, pair.positions[None, :],
+                                                particle, events)[0])
 
 
 def configuration_velocity(state: ConfigWaveField) -> VelocityField:
@@ -141,8 +199,13 @@ def configuration_velocity(state: ConfigWaveField) -> VelocityField:
 
 
 def propagate_pair(state0: ConfigWaveField, timeline, pair: ParticlePair,
-                   dt: float, steps: int) -> ParticlePair:
-    """Single-pair convenience wrapper around the vectorized transport."""
+                   dt: float, steps: int,
+                   events: NodeEvents | None = None) -> ParticlePair:
+    """Single-pair convenience wrapper around the vectorized transport.
+
+    events, when given, counts the transport's velocity evaluations and
+    the capped ones among them.
+    """
     ens = TrajectoryEnsemble(
         grid=state0.grid,
         positions=pair.positions[None, :],
@@ -151,6 +214,9 @@ def propagate_pair(state0: ConfigWaveField, timeline, pair: ParticlePair,
         m=state0.m1,
     )
     res = propagate_ensemble(ens, timeline, dt, steps, record_history=True)
+    if events is not None:
+        events.evaluations += res.events.evaluations
+        events.capped += res.events.capped
     final = res.ensemble.positions[0]
     return ParticlePair(
         x1=float(final[0]),

@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConfigError, GridMismatchError
 from .grids import (GridSpec, ScalarField, WaveField, _check_finite, _interp_weights,
-                    _spectral_derivative)
+                    _nonzero_parts, _spectral_derivative)
 from .oracle import Potential, PropagatorState, split_step_evolve
 
 __all__ = [
@@ -56,6 +56,12 @@ DEGRADED_CAP_FRACTION = 1e-3
 # trajectories per block of RK4 transport: a block's stage temporaries stay
 # in a 2 MB per-core L2 cache (4096 to 32768 measured; see CHANGES.md)
 _BLOCK = 8192
+# looked-up points, summed over a 2D VelocityField's lookups, after which it
+# builds its corner tables; until then each lookup transforms only the lines
+# through its corners. One lookup breaks even with a 128^2 build near 80
+# points, so a field looked up one point at a time pays under two builds
+# (measured: see CHANGES.md)
+_FEW_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -108,6 +114,89 @@ class _TrajectoryEvents(NodeEvents):
         self.ever_capped[self.block] |= flagged
 
 
+def _cell_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
+               peak: float) -> np.ndarray:
+    """The six rows of VelocityField's 1D cell formula, one column per cell.
+
+    On a cell psi = a + b w and g = c + d w for w in [0, 1): a, c are the
+    values at the cell's lower node and b, d their rise to the next node.
+    peak bounds |a|^2 over the cells and only decides whether a flat cell
+    can occur at all.
+    """
+    a_bar = a.conj()
+    b_bar = b.conj()
+    ab = a * b_bar
+    rows = np.empty((6,) + a.shape)
+    rows[0] = (c * a_bar).imag
+    np.add((c * b_bar).imag, (d * a_bar).imag, out=rows[1])
+    rows[2] = (d * b_bar).imag
+    bb = rows[3]
+    bb[:] = (b * b_bar).real
+    # rows 4 and 5 hold -Re(a conj b) and Im(a conj b)^2 until divided by |b|^2
+    np.negative(ab.real, out=rows[4])
+    np.square(ab.imag, out=rows[5])
+    # a flat cell has |b|^2 <= 1e-32 |a|^2 <= 1e-32 * peak
+    if np.minimum.reduce(bb) <= 1e-32 * peak:
+        mag = np.abs(a)
+        flat = bb <= 1e-32 * mag * mag
+        bb[flat] = 1.0
+        rows[4:] /= bb
+        rows[3:5, flat] = 0.0
+        rows[5, flat] = mag[flat] ** 2
+    else:
+        rows[4:] /= bb
+    return rows
+
+
+def _cell_terms(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Numerator Im(g conj psi) and |psi|^2 at offset w on cells given by
+    their six _cell_rows, in the order a 1D lookup has always used."""
+    n0, n1, n2, bb, w_star, rho_min = rows
+    v = n2 * w
+    v += n1
+    v *= w
+    v += n0
+    rho = w - w_star
+    rho *= rho
+    rho *= bb
+    rho += rho_min
+    return v, rho
+
+
+def _floored_ratios(numerators: list[np.ndarray], rho: np.ndarray, rho_floor,
+                    v_max) -> np.ndarray:
+    """Divide each numerator by max(|psi|^2, floor) in place, clip numerator
+    i at +-v_max[i] where the floor applied, and return those flags.
+
+    rho_floor is one floor, or one per point (conditional slices each have
+    their own peak).
+    """
+    if isinstance(rho_floor, np.ndarray):
+        flagged = rho < rho_floor
+        capped = bool(flagged.any())
+    else:
+        # one min scan clears the common case of no point under the floor
+        capped = rho.size > 0 and rho.min() < rho_floor
+        flagged = rho < rho_floor if capped else np.zeros(rho.shape, dtype=bool)
+    if capped:
+        np.maximum(rho, rho_floor, out=rho)
+    for v, cap in zip(numerators, v_max):
+        v /= rho
+        if capped:
+            np.clip(v, -cap, cap, out=v, where=flagged)
+    return flagged
+
+
+def _blend(ends: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """(1 - w) * ends[:, 0] + w * ends[:, 1], in place in ends: the lerp of
+    grids._interp_values, term for term."""
+    lower, upper = ends[:, 0], ends[:, 1]
+    lower *= 1.0 - w
+    upper *= w
+    lower += upper
+    return lower
+
+
 class VelocityField:
     """Sampled guiding velocity of one wave field.
 
@@ -118,9 +207,10 @@ class VelocityField:
     grids._spectral_derivative call per axis, with hbar / m_i folded into
     its wavenumbers.
 
-    1D keeps six rows per cell. On cell i, with w in [0, 1) the offset from
-    node i, psi = a + b w and g = c + d w (a, c the node values, b, d their
-    rise to node i + 1), so the velocity is a ratio of two quadratics in w:
+    1D keeps six rows per cell (_cell_rows). On cell i, with w in [0, 1)
+    the offset from node i, psi = a + b w and g = c + d w (a, c the node
+    values, b, d their rise to node i + 1), so the velocity is a ratio of
+    two quadratics in w:
 
     - numerator Im(g conj psi) = n0 + w (n1 + w n2), evaluated by Horner;
     - denominator |psi|^2 in vertex form, |b|^2 (w - w*)^2 + rho_min, with
@@ -132,14 +222,21 @@ class VelocityField:
     (|b|^2 <= 1e-32 |a|^2) stores |b|^2 = 0, w* = 0 and rho_min = |a|^2,
     so no build divides by zero. A lookup is one weight pass
     (grids._interp_weights), one `take` of the six rows at the cell index
-    and eight elementwise operations.
+    and eight elementwise operations. conditional.conditional_guiding_velocities
+    evaluates the same formula on one cell per conditional slice.
 
     2D keeps split real corner tables, rows [psi.re, psi.im, d0psi.re,
     d0psi.im, d1psi.re, d1psi.im], each padded with one periodic cell per
     axis and flattened; a lookup gathers four corners and lerps along y,
     then x. A prototype bilinear per-cell table measured slower there
     (0.51 against 0.46 ms for 5000 points at 128^2) and needs four times
-    the memory.
+    the memory. The tables are built at the first lookup that takes the
+    field past _FEW_POINTS looked-up points. Until then a lookup
+    differentiates only the lines through its corners: the columns through
+    them along x, the rows through them along y, with the transform the
+    whole field takes (grids._nonzero_parts), so its corner values and its
+    result equal a table lookup bit for bit. A pair trajectory's fields see
+    one or two points each and never build tables.
 
     Either way the velocity is numerator / max(|psi|^2, floor), and points
     under the floor are clipped at the Nyquist velocity and flagged.
@@ -157,22 +254,39 @@ class VelocityField:
             hbar * np.pi / (mi * h)
             for mi, h in zip(self.masses, grid.spacing)
         )
+        values = psi.values
         if grid.dims == 1:
-            self._tables, peak = self._cell_rows(psi.values)
+            peak = float(np.maximum.reduce(np.abs(values))) ** 2
         else:
-            self._tables, peak = self._corner_tables(psi.values)
-            # flat-index step of one cell along x on the padded tables
-            self._row = grid.points[1] + 1
-        self.rho_floor = floor_fraction * peak
-
-    def _cell_rows(self, values: np.ndarray) -> tuple[np.ndarray, float]:
-        """The six per-cell rows of a 1D field, and max |psi|^2."""
+            # the tables' block is allocated first and written only when
+            # they are filled (np.empty touches no page). Allocated at the
+            # first large lookup it left the heap growing and trimming (about
+            # 15k more page faults and 4 % more wall time per relaxation-2d
+            # pass); allocated after the peak's temporaries, about 1 % more
+            self._table_block = np.empty(
+                (2 + 2 * grid.dims,) + tuple(n + 1 for n in grid.points))
+            rho = values.real * values.real
+            rho += values.imag * values.imag
+            peak = float(np.maximum.reduce(rho, axis=None))
         # a NaN or inf value makes the peak non-finite, and _check_finite
-        # then raises before the transform, which would warn on an inf
-        mag = np.abs(values)
-        peak = float(np.maximum.reduce(mag)) ** 2
+        # then raises before any transform, which would warn on an inf
         if not math.isfinite(peak):
             _check_finite(values, "velocity field input")
+        self.rho_floor = floor_fraction * peak
+        if grid.dims == 1:
+            self._tables = self._cell_table(values, peak)
+        else:
+            self._values = values
+            self._tables = None
+            self._points_looked_up = 0
+            self._parts = None
+            # flat-index offsets of the corners (x end, y end) from the
+            # lower-left one on the padded tables
+            row = grid.points[1] + 1
+            self._corner_offsets = np.array([[[0], [1]], [[row], [row + 1]]])
+
+    def _cell_table(self, values: np.ndarray, peak: float) -> np.ndarray:
+        """The six per-cell rows of a 1D field."""
         n = values.size
         a = values
         c = _spectral_derivative(values, self.grid, 0, self.hbar / self.masses[0])
@@ -183,49 +297,55 @@ class VelocityField:
         d = np.empty(n, dtype=complex)
         np.subtract(c[1:], c[:-1], out=d[:-1])
         d[-1] = c[0] - c[-1]
-        a_bar = a.conj()
-        b_bar = b.conj()
-        ab = a * b_bar
-        rows = np.empty((6, n))
-        rows[0] = (c * a_bar).imag
-        np.add((c * b_bar).imag, (d * a_bar).imag, out=rows[1])
-        rows[2] = (d * b_bar).imag
-        bb = rows[3]
-        bb[:] = (b * b_bar).real
-        # rows 4 and 5 hold -Re(a conj b) and Im(a conj b)^2 until divided by |b|^2
-        np.negative(ab.real, out=rows[4])
-        np.square(ab.imag, out=rows[5])
-        # a flat cell has |b|^2 <= 1e-32 |a|^2 <= 1e-32 * peak
-        if np.minimum.reduce(bb) <= 1e-32 * peak:
-            flat = bb <= 1e-32 * mag * mag
-            bb[flat] = 1.0
-            rows[4:] /= bb
-            rows[3:5, flat] = 0.0
-            rows[5, flat] = mag[flat] ** 2
-        else:
-            rows[4:] /= bb
-        return rows, peak
+        return _cell_rows(a, b, c, d, peak)
 
-    def _corner_tables(self, values: np.ndarray) -> tuple[np.ndarray, float]:
-        """The padded, flattened 2D corner tables, and max |psi|^2."""
-        _check_finite(values, "velocity field input")
+    def _corner_tables(self) -> np.ndarray:
+        """The padded, flattened 2D corner tables."""
         grid = self.grid
-        padded = tuple(n + 1 for n in grid.points)
-        tables = np.empty((2 + 2 * grid.dims,) + padded)
+        values = self._values
+        tables = self._table_block
         body = tuple(slice(0, n) for n in grid.points)
         tables[0][body] = values.real
         tables[1][body] = values.imag
         for axis in range(grid.dims):
-            g = _spectral_derivative(values, grid, axis, self.hbar / self.masses[axis])
+            g = _spectral_derivative(values, grid, axis, self.hbar / self.masses[axis],
+                                     self._field_parts())
             tables[2 + 2 * axis][body] = g.real
             tables[3 + 2 * axis][body] = g.imag
         # periodic pad; the corner cell is filled by the second pass
         for axis, n in enumerate(grid.points):
             lead = (slice(None),) * (axis + 1)
             tables[lead + (n,)] = tables[lead + (0,)]
-        rho = tables[0] * tables[0]
-        rho += tables[1] * tables[1]
-        return tables.reshape(len(tables), -1), rho.max()
+        return tables.reshape(len(tables), -1)
+
+    def _field_parts(self) -> tuple[bool, bool]:
+        """The whole 2D field's transform choice (grids._nonzero_parts)."""
+        if self._parts is None:
+            self._parts = _nonzero_parts(self._values)
+        return self._parts
+
+    def _corner_values(self, i0: np.ndarray, j0: np.ndarray) -> np.ndarray:
+        """The table rows at the four corners of each point's cell, shape
+        (6, 2, 2, n) as [row, x end, y end, point], from the transforms of
+        the touched lines alone."""
+        grid = self.grid
+        values = self._values
+        n = i0.size
+        i = np.stack([i0, i0 + 1]) % grid.points[0]
+        j = np.stack([j0, j0 + 1]) % grid.points[1]
+        # line k[e, p] of the stacked lines runs through end e of point p
+        k = np.arange(2 * n).reshape(2, n)
+        d0 = _spectral_derivative(values[:, j.ravel()], grid, 0,
+                                  self.hbar / self.masses[0], self._field_parts())
+        d1 = _spectral_derivative(values[i.ravel()], grid, 1,
+                                  self.hbar / self.masses[1], self._field_parts())
+        ix, jy = i[:, None], j[None, :]
+        corners = np.empty((6, 2, 2, n))
+        for row, part in enumerate((values[ix, jy], d0[ix, k[None, :]],
+                                    d1[k[:, None], jy])):
+            corners[2 * row] = part.real
+            corners[2 * row + 1] = part.imag
+        return corners
 
     def at(self, positions: np.ndarray, events: NodeEvents | None = None) -> np.ndarray:
         """Velocity components at the given positions, shape (n, dims)."""
@@ -234,46 +354,38 @@ class VelocityField:
             events.record(flagged)
         return v
 
-    def _lerp(self, index: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """(1 - w) * rows at index + w * rows at index + 1, every 2D table
-        at once: the lerp of grids._interp_values, term for term."""
-        # one gather of both ends keeps a single large temporary alive; the
-        # indices are in range, and numpy's "wrap" mode gathers faster
-        ends = np.take(self._tables, index + np.array([[0], [1]]), axis=1,
-                       mode="wrap")
-        lower, upper = ends[:, 0], ends[:, 1]
-        lower *= 1.0 - w
-        upper *= w
-        lower += upper
-        return lower
-
     def _velocity(self, positions) -> tuple[np.ndarray, np.ndarray]:
         """Velocity shaped like positions, and the per-point cap flags."""
         pos = np.asarray(positions, dtype=float)
         grid = self.grid
         if grid.dims == 1:
             i0, w = _interp_weights(grid, pos.reshape(-1), 0)
-            n0, n1, n2, bb, w_star, rho_min = np.take(self._tables, i0, axis=1,
-                                                      mode="wrap")
-            v = n2 * w
-            v += n1
-            v *= w
-            v += n0
-            rho = w - w_star
-            rho *= rho
-            rho *= bb
-            rho += rho_min
+            v, rho = _cell_terms(np.take(self._tables, i0, axis=1, mode="wrap"), w)
             numerators = [v]
             point_shape = pos.shape
         else:
             pts = pos.reshape(-1, 2)
             i0, wx = _interp_weights(grid, pts[:, 0], 0)
             j0, wy = _interp_weights(grid, pts[:, 1], 1)
+            if self._tables is None:
+                self._points_looked_up += len(pts)
+                if self._points_looked_up > _FEW_POINTS:
+                    self._tables = self._corner_tables()
+            if self._tables is None:
+                corners = self._corner_values(i0, j0)
+                ends = lambda e: corners[:, e]  # noqa: E731
+            else:
+                c00 = i0 * (grid.points[1] + 1) + j0
+                # one gather of both y ends keeps a single large temporary
+                # alive; the indices are in range, and numpy's "wrap" mode
+                # gathers faster
+                ends = lambda e: np.take(self._tables,  # noqa: E731
+                                         c00 + self._corner_offsets[e],
+                                         axis=1, mode="wrap")
             # along y on the two bracketing x lines first, then along x
-            c00 = i0 * self._row + j0
-            here = self._lerp(c00, wy)
+            here = _blend(ends(0), wy)
             here *= 1.0 - wx
-            upper = self._lerp(c00 + self._row, wy)
+            upper = _blend(ends(1), wy)
             upper *= wx
             here += upper
             pr, pi = here[0], here[1]
@@ -286,16 +398,7 @@ class VelocityField:
                 v -= here[2 + 2 * i] * pi
                 numerators.append(v)
             point_shape = pos.shape[:-1]
-        capped = rho.size > 0 and rho.min() < self.rho_floor
-        if capped:
-            flagged = rho < self.rho_floor
-            np.maximum(rho, self.rho_floor, out=rho)
-        else:
-            flagged = np.zeros(rho.shape, dtype=bool)
-        for i, v in enumerate(numerators):
-            v /= rho
-            if capped:
-                np.clip(v, -self.v_max[i], self.v_max[i], out=v, where=flagged)
+        flagged = _floored_ratios(numerators, rho, self.rho_floor, self.v_max)
         out = numerators[0] if grid.dims == 1 else np.stack(numerators, axis=-1)
         return out.reshape(pos.shape), flagged.reshape(point_shape)
 

@@ -42,6 +42,7 @@ from .madelung import (
 )
 from .twofluid import TwoFluidConfig, averaged_acceleration, osmotic_force_reference, reaction_force
 from .ensemble import (
+    NodeEvents,
     OracleTimeline,
     TrajectoryEnsemble,
     WaveTimeline,
@@ -54,7 +55,7 @@ from .ensemble import (
 from .conditional import (
     ConfigWaveField,
     ParticlePair,
-    conditional_guiding_velocity,
+    conditional_guiding_velocities,
     configuration_velocity,
     propagate_pair,
 )
@@ -205,8 +206,14 @@ def _as_integer(key: str, value) -> int:
     raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
 
 
-def _integer(cfg: ExperimentConfig, key: str, default: int) -> int:
-    return _as_integer(key, cfg.get(key, default))
+def _integer(cfg: ExperimentConfig, key: str, default: int,
+             minimum: int | None = None) -> int:
+    """An integer config value; a count (minimum 1) of zero or less would
+    run a degenerate scenario or fail deep inside it."""
+    value = _as_integer(key, cfg.get(key, default))
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"config key {key!r} must be at least {minimum}, got {value}")
+    return value
 
 
 def _non_finite(doc, path: str = "") -> list[str]:
@@ -269,7 +276,7 @@ def _scenario_oracle_evolve(cfg: ExperimentConfig, outdir: Path):
     if "t_end" in cfg.params:
         steps = round(float(cfg.params["t_end"]) / dt)
     else:
-        steps = _integer(cfg, "steps", 6283)
+        steps = _integer(cfg, "steps", 6283, minimum=1)
     omega = float(cfg.get("constants", {}).get("omega", 1.0))
 
     if kind == "harmonic-ground":
@@ -325,7 +332,7 @@ def _scenario_madelung_compare(cfg: ExperimentConfig, outdir: Path):
     s0 = float(cfg.get("width", 1.0))
     momentum = float(cfg.get("momentum", 2.0))
     dt_snap = float(cfg.get("dt", 1e-3))
-    n_windows = _integer(cfg, "snapshot_windows", 5)
+    n_windows = _integer(cfg, "snapshot_windows", 5, minimum=1)
     potential = Potential.free(grid)
 
     # residuals from consecutive oracle snapshots at several times
@@ -392,8 +399,8 @@ def _scenario_twofluid_verify(cfg: ExperimentConfig, outdir: Path):
     grid = _grid_from_config(cfg, 12.0, 512)
     s = float(cfg.get("width", 1.0))
     delta_t = float(cfg.get("delta_t", 1e-4))
-    n_micro = _integer(cfg, "n_micro", 16)
-    substeps = _integer(cfg, "micro_substeps", 1)
+    n_micro = _integer(cfg, "n_micro", 16, minimum=1)
+    substeps = _integer(cfg, "micro_substeps", 1, minimum=1)
 
     # periodized so the density is genuinely smooth across the seam and
     # never reaches the regularization floor anywhere on the grid
@@ -450,9 +457,9 @@ def _scenario_equivariance(cfg: ExperimentConfig, outdir: Path):
     hbar, m = cfg.constants()
     omega = float(cfg.get("constants", {}).get("omega", 1.0))
     grid = _grid_from_config(cfg, 24.0, 512)
-    n_traj = _integer(cfg, "n_trajectories", 100000)
-    steps = _integer(cfg, "steps", 640)
-    bins = _integer(cfg, "bins", 64)
+    n_traj = _integer(cfg, "n_trajectories", 100000, minimum=1)
+    steps = _integer(cfg, "steps", 640, minimum=1)
+    bins = _integer(cfg, "bins", 64, minimum=1)
     checkpoints = _integer(cfg, "checkpoints", 10)
     _check_checkpoints(checkpoints, steps)
     seed = _integer(cfg, "seed", 42)
@@ -521,8 +528,8 @@ def _scenario_relaxation(cfg: ExperimentConfig, outdir: Path):
     omega_x = float(cfg.get("constants", {}).get("omega", 1.0))
     omega_y = float(cfg.get("omega_y", omega_x * 0.5 * (1 + np.sqrt(5.0))))
     grid = _grid_from_config(cfg, (20.0, 20.0), (128, 128))
-    n_traj = _integer(cfg, "n_trajectories", 20000)
-    steps = _integer(cfg, "steps", 1200)
+    n_traj = _integer(cfg, "n_trajectories", 20000, minimum=1)
+    steps = _integer(cfg, "steps", 1200, minimum=1)
     cell = _integer(cfg, "cell_size", 8)
     checkpoints = _integer(cfg, "checkpoints", 10)
     _check_checkpoints(checkpoints, steps)
@@ -602,11 +609,11 @@ def _scenario_measurement(cfg: ExperimentConfig, outdir: Path):
     coupling = float(cfg.get("constants", {}).get("lambda", 1.0))
     grid_x = _grid_from_config(cfg, 24.0, 256)
     y_extent = float(cfg.get("y_extent", 16.0))
-    y_points = _integer(cfg, "y_points", 256)
+    y_points = _integer(cfg, "y_points", 256, minimum=1)
     grid_y = GridSpec.centered(y_extent, y_points)
     pointer_width = float(cfg.get("pointer_width", 0.5))
     pointer_center = float(cfg.get("pointer_center", -4.0))
-    k_single = _integer(cfg, "single_mode", 2)
+    k_single = _integer(cfg, "single_mode", 2, minimum=0)
     t_single = float(cfg.get("duration_single", 2.0))
     t_pair = float(cfg.get("duration_pair", 4.0))
     run_brute = cfg.get("run_brute", True)
@@ -654,7 +661,7 @@ def _scenario_measurement(cfg: ExperimentConfig, outdir: Path):
     ]
 
     if run_brute:
-        nb = _integer(cfg, "brute_points", 128)
+        nb = _integer(cfg, "brute_points", 128, minimum=1)
         bx = GridSpec.centered(grid_x.extent[0], nb)
         by = GridSpec.centered(y_extent, nb)
         bu = Potential.harmonic(bx, omega, m)
@@ -682,10 +689,10 @@ def _scenario_conditional_pair(cfg: ExperimentConfig, outdir: Path):
     hbar, m = cfg.constants()
     grid1 = _grid_from_config(cfg, 16.0, 128)
     grid2 = joint_grid(grid1, grid1)
-    n_samples = _integer(cfg, "n_samples", 1000)
+    n_samples = _integer(cfg, "n_samples", 1000, minimum=1)
     seed = _integer(cfg, "seed", 9)
     omega = float(cfg.get("constants", {}).get("omega", 1.0))
-    steps = _integer(cfg, "steps", 400)
+    steps = _integer(cfg, "steps", 400, minimum=1)
 
     a = gaussian_packet(grid1, 0.7, center=-2.5, momentum=0.8, hbar=hbar)
     b = gaussian_packet(grid1, 0.7, center=2.5, momentum=-0.4, hbar=hbar)
@@ -695,17 +702,17 @@ def _scenario_conditional_pair(cfg: ExperimentConfig, outdir: Path):
         hbar=hbar, m1=m, m2=m,
     )
 
+    # capped evaluations of the identity check (both routes), plus capped
+    # trajectories of the three transports below
+    guidance_events = NodeEvents()
     ens = sample_equilibrium(entangled.psi.density(), n_samples, seed, hbar, m)
-    vf = configuration_velocity(entangled)
-    v_full = vf.at(ens.positions)
-    worst = 0.0
-    for (x1, x2), v in zip(ens.positions, v_full):
-        pair = ParticlePair(float(x1), float(x2))
-        worst = max(
-            worst,
-            abs(conditional_guiding_velocity(entangled, pair, 0) - v[0]),
-            abs(conditional_guiding_velocity(entangled, pair, 1) - v[1]),
-        )
+    v_full = configuration_velocity(entangled).at(ens.positions, guidance_events)
+    v_cond = np.stack([
+        conditional_guiding_velocities(entangled, ens.positions, particle,
+                                       guidance_events)
+        for particle in (0, 1)
+    ], axis=-1)
+    worst = float(np.max(np.abs(v_cond - v_full)))
 
     # product state: pair transport reduces to independent 1D problems
     u1 = Potential.harmonic(grid1, omega, m)
@@ -720,7 +727,8 @@ def _scenario_conditional_pair(cfg: ExperimentConfig, outdir: Path):
     dt = period / steps
     timeline2 = OracleTimeline(product.psi, joint_pot, dt, hbar, m)
     pair0 = ParticlePair(float(cfg.get("x1", -2.2)), float(cfg.get("x2", 2.8)))
-    moved = propagate_pair(product, timeline2, pair0, dt, steps)
+    pair_events = NodeEvents()
+    moved = propagate_pair(product, timeline2, pair0, dt, steps, pair_events)
     tl_a = WaveTimeline.from_oracle(a, u1, dt, steps, hbar, m)
     tl_b = WaveTimeline.from_oracle(b, u1, dt, steps, hbar, m)
     single_a = propagate_ensemble(
@@ -753,7 +761,9 @@ def _scenario_conditional_pair(cfg: ExperimentConfig, outdir: Path):
         str(_write_table(outdir / "pair_history.csv",
                          ["pair_id", "t", "x1", "x2"], hist_rows)),
     ]
-    return metrics, criteria, outputs, 0
+    capped = (guidance_events.capped + int(pair_events.capped > 0)
+              + single_a.capped_trajectories + single_b.capped_trajectories)
+    return metrics, criteria, outputs, capped
 
 
 SCENARIOS = {

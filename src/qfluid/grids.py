@@ -169,8 +169,15 @@ class GridSpec:
         )
 
     def wrap(self, x: np.ndarray, i: int = 0) -> np.ndarray:
-        """Map coordinates periodically into [origin, origin + extent) on axis i."""
-        return self.origin[i] + np.mod(x - self.origin[i], self.extent[i])
+        """Map coordinates periodically into [origin, origin + extent) on axis i.
+
+        The mod of a point just under the origin, and the add after it, can
+        round up onto the upper edge; such a point is the origin's image.
+        """
+        lo, period = self.origin[i], self.extent[i]
+        out = lo + np.mod(x - lo, period)
+        # [()] keeps a scalar a scalar
+        return np.where(out >= lo + period, lo, out)[()]
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:
@@ -286,8 +293,18 @@ def _require_same_grid(a: GridSpec, b: GridSpec):
         raise GridMismatchError(f"grids differ: {a} vs {b}")
 
 
+def _nonzero_parts(values: np.ndarray) -> tuple[bool, bool]:
+    """Whether the real and the imaginary part of complex data have a
+    non-zero element: the transform choice of _spectral_derivative."""
+    # one element with both parts non-zero settles it without two scans
+    probe = values.flat[values.size // 2]
+    return (bool(probe.real) or bool(values.real.any()),
+            bool(probe.imag) or bool(values.imag.any()))
+
+
 def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int,
-                         scale: float = 1.0) -> np.ndarray:
+                         scale: float = 1.0,
+                         parts: tuple[bool, bool] | None = None) -> np.ndarray:
     """scale * d/dx along one axis via FFT, one transform pair per call.
 
     The transform is chosen by the data, not the dtype:
@@ -297,6 +314,10 @@ def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int,
       pair on the non-zero part, and the zero part of the result is exactly
       zero. A complex transform would leak rounding noise into it, which
       downstream phase-gradient ratios amplify.
+
+    parts, the _nonzero_parts of a larger field, makes a piece of that field
+    (some of its lines) take the field's transform, so every line comes out
+    bit for bit as in the whole field's derivative.
 
     The Nyquist mode is zeroed, which makes odd derivatives of real data
     real and avoids the asymmetric lone mode. scale multiplies the
@@ -308,10 +329,7 @@ def _spectral_derivative(values: np.ndarray, grid: GridSpec, axis: int,
         factor = grid._derivative_factors[axis, scale] = _derivative_factor(
             grid, axis, scale)
     if values.dtype.kind == "c":
-        # one element with both parts non-zero settles it without two scans
-        probe = values.flat[values.size // 2]
-        has_re = bool(probe.real) or values.real.any()
-        has_im = bool(probe.imag) or values.imag.any()
+        has_re, has_im = _nonzero_parts(values) if parts is None else parts
         if has_re and has_im:
             fk = np.fft.fft(values, axis=axis)
             fk *= factor[0]

@@ -173,6 +173,7 @@ def test_criterion_7_conditional_guidance(tmp_path):
     assert manifest.passed, f"metrics: {manifest.metrics}"
     assert manifest.metrics["identity_max_error"] <= 1e-6
     assert manifest.metrics["product_pair_gap"] <= 1e-6
+    assert manifest.capping_events == 0
     _announce(
         7, "conditional slices guide like the full gradient",
         f"identity {manifest.metrics['identity_max_error']:.1e}, "

@@ -19,6 +19,7 @@ from qfluid.conditional import (
     ConfigWaveField,
     ParticlePair,
     conditional_guiding_velocity,
+    conditional_guiding_velocities,
     conditional_wavefunction,
     configuration_velocity,
     propagate_pair,
@@ -190,6 +191,73 @@ class TestGuidanceIdentity:
         pair = ParticlePair(-1.0, 1.0)
         assert conditional_guiding_velocity(state, pair, 0) == 0.0
         assert conditional_guiding_velocity(state, pair, 1) == 0.0
+
+
+def nodal_state(line):
+    """Particle 0's slices all have an exact node at x node 60."""
+    x = line.axis(0)
+    a = (x - x[60]) * np.exp(-(x**2) / 2 + 1.5j * x)
+    b = gaussian_packet(line, 0.8, center=1.0).values
+    return ConfigWaveField(
+        WaveField(joint_grid(line, line), np.outer(a, b)).normalized(), m1=0.7, m2=1.3
+    )
+
+
+class TestBatchedGuidance:
+    @pytest.mark.parametrize("particle", [0, 1])
+    def test_matches_per_pair_guidance_and_configuration_velocity(self, entangled,
+                                                                  particle):
+        positions = sample_equilibrium(entangled.psi.density(), 500, seed=4).positions
+        events, pair_events = NodeEvents(), NodeEvents()
+        batched = conditional_guiding_velocities(entangled, positions, particle, events)
+        per_pair = np.array([
+            conditional_guiding_velocity(entangled, ParticlePair(*xy), particle,
+                                         pair_events)
+            for xy in positions
+        ])
+        full = configuration_velocity(entangled).at(positions)[:, particle]
+        assert batched.shape == (500,)
+        assert np.abs(batched - per_pair).max() <= 1e-13
+        assert np.abs(batched - full).max() <= 1e-13
+        assert events == pair_events == NodeEvents(evaluations=500, capped=0)
+
+    def test_capped_rows_match_per_pair_guidance(self, line):
+        state = nodal_state(line)
+        node = line.axis(0)[60]
+        h = line.spacing[0]
+        positions = np.array([[node + 1e-7 * h, 1.0], [node, -0.4], [-1.3, 0.9],
+                              [node + 0.5 * h, 2.0], [node - 1e-12, 1.0]])
+        # particle 1's slice at x1 on the node is zero, so it takes rows 2, 3
+        for particle, rows in ((0, slice(None)), (1, slice(2, 4))):
+            events, pair_events = NodeEvents(), NodeEvents()
+            batched = conditional_guiding_velocities(state, positions[rows], particle,
+                                                     events)
+            per_pair = [conditional_guiding_velocity(state, ParticlePair(*xy), particle,
+                                                     pair_events)
+                        for xy in positions[rows]]
+            assert np.abs(batched - per_pair).max() <= 1e-13
+            assert events == pair_events
+            if particle == 0:
+                # three points sit on or next to the node of their slices
+                assert events == NodeEvents(evaluations=5, capped=3)
+                assert np.abs(batched).max() <= np.pi / (0.7 * h)
+
+    def test_one_negligible_slice_raises_and_names_its_position(self, line):
+        a = gaussian_packet(line, 0.4, center=-3.0)
+        b = gaussian_packet(line, 0.4, center=3.0)
+        state = ConfigWaveField(
+            WaveField(joint_grid(line, line), np.outer(a.values, b.values)).normalized()
+        )
+        positions = np.array([[-3.0, 3.0], [-2.9, 3.1], [-3.1, -7.9], [-3.0, 2.9]])
+        with pytest.raises(ConditionalUndefinedError, match="-7.9"):
+            conditional_guiding_velocities(state, positions, 0)
+        assert conditional_guiding_velocities(state, positions[[0, 1, 3]], 0).shape == (3,)
+
+    def test_empty_batch(self, entangled):
+        events = NodeEvents()
+        assert conditional_guiding_velocities(entangled, np.zeros((0, 2)), 1,
+                                              events).shape == (0,)
+        assert events == NodeEvents()
 
 
 class TestPairTransport:

@@ -536,6 +536,76 @@ def test_single_part_field_velocity_is_exactly_zero(grid, unit):
     assert np.all(field.at(positions) == 0.0)
 
 
+def _nodal_plane_wave(kind, seed):
+    """A _PLANE field for the few-point lookup checks.
+
+    - "complex": band-limited, both parts non-zero;
+    - "real-lines": real except for one imaginary value at node (5, 7), so
+      the lines through most cells are real while the field is complex;
+    - "nodal": complex with a node line on x node 20, where points cap.
+    """
+    psi = _band_limited_wave(_PLANE, seed, real=kind == "real-lines")
+    values = psi.values.copy()
+    if kind == "real-lines":
+        values[5, 7] += 0.5j
+    elif kind == "nodal":
+        x = _PLANE.axis(0)
+        values *= (x - x[20])[:, None]
+    return WaveField(_PLANE, values)
+
+
+def _plane_points(grid):
+    """_coordinates on both axes, plus points on and next to the node line
+    of _nodal_plane_wave."""
+    x_node = grid.axis(0)[20]
+    near_node = st.sampled_from([x_node, x_node + 1e-12, x_node - 1e-9,
+                                 x_node + 1e-6 * grid.spacing[0]])
+    return st.tuples(st.one_of(_coordinates(grid, 0), near_node), _coordinates(grid, 1))
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 10_000),
+       kind=st.sampled_from(["complex", "real-lines", "nodal"]),
+       pts=st.lists(_plane_points(_PLANE), min_size=1,
+                    max_size=ensemble_module._FEW_POINTS))
+def test_few_point_2d_lookup_equals_table_lookup(seed, kind, pts):
+    psi = _nodal_plane_wave(kind, seed)
+    positions = np.array(pts)
+    masses = (0.7, 1.3)
+    few, few_events = VelocityField(psi, masses=masses), NodeEvents()
+    got = few.at(positions, few_events)
+    assert few._tables is None  # the corner path answered
+    table, table_events = VelocityField(psi, masses=masses), NodeEvents()
+    table.at(np.zeros((ensemble_module._FEW_POINTS + 1, 2)))
+    assert table._tables is not None
+    want = table.at(positions, table_events)
+    assert got.tobytes() == want.tobytes()
+    assert few_events == table_events
+
+
+def test_few_point_2d_lookup_caps_on_the_node_line():
+    psi = _nodal_plane_wave("nodal", seed=3)
+    x_node = _PLANE.axis(0)[20]
+    events = NodeEvents()
+    field = VelocityField(psi)
+    v = field.at(np.array([[x_node, 0.3], [x_node + 1e-12, -2.0]]), events)
+    assert field._tables is None
+    assert events == NodeEvents(evaluations=2, capped=2)
+    assert np.all(np.abs(v[:, 0]) <= np.pi / _PLANE.spacing[0])
+
+
+def test_2d_tables_built_once_lookups_pass_few_points():
+    psi = _band_limited_wave(_PLANE, seed=5, real=False)
+    field = VelocityField(psi)
+    point = np.array([[0.25, -1.5]])
+    first = field.at(point)
+    for _ in range(ensemble_module._FEW_POINTS - 1):
+        field.at(point)
+    assert field._tables is None
+    assert field.at(point).tobytes() == first.tobytes()
+    assert field._tables is not None
+
+
 def test_velocity_field_rejects_nan_psi():
     values = _band_limited_wave(_PLANE, seed=2, real=False).values.copy()
     values[5, 7] = complex(np.nan, 0.0)

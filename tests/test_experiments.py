@@ -280,6 +280,24 @@ class TestCli:
         assert f"{key!r} must be an integer" in err
         assert not (tmp_path / "out" / "run_manifest.json").exists()
 
+    @pytest.mark.parametrize("doc, key, minimum", [
+        ({"scenario": "conditional-pair", "n_samples": 0}, "n_samples", 1),
+        ({"scenario": "conditional-pair", "steps": 0}, "steps", 1),
+        ({"scenario": "equivariance", "n_trajectories": 0, "steps": 10,
+          "checkpoints": 1}, "n_trajectories", 1),
+        ({"scenario": "relaxation", "n_trajectories": -5, "steps": 10,
+          "checkpoints": 1}, "n_trajectories", 1),
+        ({"scenario": "measurement", "single_mode": -1}, "single_mode", 0),
+    ], ids=["zero-samples", "zero-steps", "zero-trajectories-1d",
+            "negative-trajectories-2d", "negative-mode-index"])
+    def test_non_positive_count_exit_two(self, tmp_path, capsys, doc, key, minimum):
+        # n_samples 0 used to pass an identity check over no samples, steps 0
+        # to fail on a bare division by zero, no trajectories inside the
+        # histogram, and single_mode -1 ran mode 1
+        err = self.assert_config_error(tmp_path, capsys, doc)
+        assert f"{key!r} must be at least {minimum}" in err
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
     def test_sweep_non_integral_count_exit_two_before_any_run(self, tmp_path, capsys):
         out_dir = tmp_path / "runs"
         cfg = self.write_config(tmp_path, {
@@ -306,6 +324,17 @@ class TestCli:
         for key in ("config.width", "metrics.rel_err_vs_gradQ", "criteria[0].value"):
             assert key in err
         assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+
+def test_conditional_pair_reports_its_capping(tmp_path):
+    # x1 = 4.0 lies in psi_a's far tail: the pair and the single particle a
+    # both run into the velocity cap, and the pair gap fails
+    manifest = run(ExperimentConfig.from_dict(
+        {"scenario": "conditional-pair", "x1": 4.0, "n_samples": 50, "steps": 100}),
+        tmp_path)
+    assert not manifest.passed
+    assert manifest.capping_events == 2
+    assert json.loads((tmp_path / "run_manifest.json").read_text())["capping_events"] == 2
 
 
 def test_integral_float_count_is_accepted(tmp_path):

@@ -60,6 +60,15 @@ class TestGridSpec:
         with pytest.raises(GridError):
             GridSpec.regular((1.0, 1.0, 1.0), (16, 16, 16))
 
+    def test_wrap_never_returns_the_upper_edge(self):
+        # np.mod(-1e-15, 24.0) rounds up to 24.0, which put the point on 12.0
+        g = GridSpec.centered(24.0, 128)
+        got = g.wrap(np.array([-12.0 - 1e-15, -12.0 - 5e-16, 12.0, 36.0, 3.5, -12.0]))
+        assert np.all(got >= -12.0) and np.all(got < 12.0)
+        assert got.tolist() == [-12.0, -12.0, -12.0, -12.0, 3.5, -12.0]
+        assert np.isnan(g.wrap(np.array([np.nan]))).all()
+        assert g.wrap(-12.0 - 1e-15) == -12.0
+
 
 class TestKSquared:
     def test_matches_axis_sum_and_is_cached(self):
