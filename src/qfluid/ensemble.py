@@ -56,12 +56,6 @@ DEGRADED_CAP_FRACTION = 1e-3
 # trajectories per block of RK4 transport: a block's stage temporaries stay
 # in a 2 MB per-core L2 cache (4096 to 32768 measured; see CHANGES.md)
 _BLOCK = 8192
-# looked-up points, summed over a 2D VelocityField's lookups, after which it
-# builds its corner tables; until then each lookup transforms only the lines
-# through its corners. One lookup breaks even with a 128^2 build near 80
-# points, so a field looked up one point at a time pays under two builds
-# (measured: see CHANGES.md)
-_FEW_POINTS = 8
 
 
 @dataclass(frozen=True)
@@ -226,17 +220,17 @@ class VelocityField:
     evaluates the same formula on one cell per conditional slice.
 
     2D keeps split real corner tables, rows [psi.re, psi.im, d0psi.re,
-    d0psi.im, d1psi.re, d1psi.im], each padded with one periodic cell per
-    axis and flattened; a lookup gathers four corners and lerps along y,
-    then x. A prototype bilinear per-cell table measured slower there
-    (0.51 against 0.46 ms for 5000 points at 128^2) and needs four times
-    the memory. The tables are built at the first lookup that takes the
-    field past _FEW_POINTS looked-up points. Until then a lookup
-    differentiates only the lines through its corners: the columns through
-    them along x, the rows through them along y, with the transform the
-    whole field takes (grids._nonzero_parts), so its corner values and its
-    result equal a table lookup bit for bit. A pair trajectory's fields see
-    one or two points each and never build tables.
+    d0psi.im, d1psi.re, d1psi.im], each padded with one periodic line per
+    axis (padded line n is line 0) and flattened; a lookup gathers four
+    corners and lerps along y, then x. A prototype bilinear per-cell table
+    measured slower there (0.51 against 0.46 ms for 5000 points at 128^2)
+    and needs four times the memory. Tables are filled only where lookups
+    read them: per axis the field keeps the filled span [lo, hi) of padded
+    lines, and a lookup extends it to [min, max + 2) of its lower corner
+    indices, transforming only the lines not filled yet: rows (along x)
+    carry psi and d1 psi, contiguous writes, and columns d0 psi. Every line
+    takes the whole field's transform (grids._nonzero_parts), so its bits
+    are those of a whole-field derivative, whatever the spans.
 
     Either way the velocity is numerator / max(|psi|^2, floor), and points
     under the floor are clipped at the Nyquist velocity and flagged.
@@ -258,12 +252,12 @@ class VelocityField:
         if grid.dims == 1:
             peak = float(np.maximum.reduce(np.abs(values))) ** 2
         else:
-            # the tables' block is allocated first and written only when
-            # they are filled (np.empty touches no page). Allocated at the
-            # first large lookup it left the heap growing and trimming (about
-            # 15k more page faults and 4 % more wall time per relaxation-2d
+            # the tables' block is allocated first and written only where
+            # lookups fill it (np.empty touches no page). Allocated at the
+            # first lookup it left the heap growing and trimming (about 15k
+            # more page faults and 4 % more wall time per relaxation-2d
             # pass); allocated after the peak's temporaries, about 1 % more
-            self._table_block = np.empty(
+            self._block = np.empty(
                 (2 + 2 * grid.dims,) + tuple(n + 1 for n in grid.points))
             rho = values.real * values.real
             rho += values.imag * values.imag
@@ -277,9 +271,11 @@ class VelocityField:
             self._tables = self._cell_table(values, peak)
         else:
             self._values = values
-            self._tables = None
-            self._points_looked_up = 0
-            self._parts = None
+            self._tables = self._block.reshape(len(self._block), -1)
+            # the whole field's transform choice, which every line takes
+            self._parts = _nonzero_parts(values)
+            # filled span [lo, hi) of padded lines per axis, empty at first
+            self._spans = [(0, 0), (0, 0)]
             # flat-index offsets of the corners (x end, y end) from the
             # lower-left one on the padded tables
             row = grid.points[1] + 1
@@ -299,53 +295,39 @@ class VelocityField:
         d[-1] = c[0] - c[-1]
         return _cell_rows(a, b, c, d, peak)
 
-    def _corner_tables(self) -> np.ndarray:
-        """The padded, flattened 2D corner tables."""
-        grid = self.grid
-        values = self._values
-        tables = self._table_block
-        body = tuple(slice(0, n) for n in grid.points)
-        tables[0][body] = values.real
-        tables[1][body] = values.imag
-        for axis in range(grid.dims):
-            g = _spectral_derivative(values, grid, axis, self.hbar / self.masses[axis],
-                                     self._field_parts())
-            tables[2 + 2 * axis][body] = g.real
-            tables[3 + 2 * axis][body] = g.imag
-        # periodic pad; the corner cell is filled by the second pass
-        for axis, n in enumerate(grid.points):
-            lead = (slice(None),) * (axis + 1)
-            tables[lead + (n,)] = tables[lead + (0,)]
-        return tables.reshape(len(tables), -1)
+    def _cover(self, axis: int, lower: np.ndarray):
+        """Extend the filled span along axis over the corners of the lower
+        indices `lower`, filling only the padded lines it did not hold."""
+        lo, hi = int(lower.min()), int(lower.max()) + 2
+        filled_lo, filled_hi = self._spans[axis]
+        if filled_lo == filled_hi:
+            filled_lo = filled_hi = lo
+        lo, hi = min(lo, filled_lo), max(hi, filled_hi)
+        for a, b in ((lo, filled_lo), (filled_hi, hi)):
+            if a < b:
+                self._fill_lines(axis, a, b)
+        self._spans[axis] = (lo, hi)
 
-    def _field_parts(self) -> tuple[bool, bool]:
-        """The whole 2D field's transform choice (grids._nonzero_parts)."""
-        if self._parts is None:
-            self._parts = _nonzero_parts(self._values)
-        return self._parts
-
-    def _corner_values(self, i0: np.ndarray, j0: np.ndarray) -> np.ndarray:
-        """The table rows at the four corners of each point's cell, shape
-        (6, 2, 2, n) as [row, x end, y end, point], from the transforms of
-        the touched lines alone."""
-        grid = self.grid
-        values = self._values
-        n = i0.size
-        i = np.stack([i0, i0 + 1]) % grid.points[0]
-        j = np.stack([j0, j0 + 1]) % grid.points[1]
-        # line k[e, p] of the stacked lines runs through end e of point p
-        k = np.arange(2 * n).reshape(2, n)
-        d0 = _spectral_derivative(values[:, j.ravel()], grid, 0,
-                                  self.hbar / self.masses[0], self._field_parts())
-        d1 = _spectral_derivative(values[i.ravel()], grid, 1,
-                                  self.hbar / self.masses[1], self._field_parts())
-        ix, jy = i[:, None], j[None, :]
-        corners = np.empty((6, 2, 2, n))
-        for row, part in enumerate((values[ix, jy], d0[ix, k[None, :]],
-                                    d1[k[:, None], jy])):
-            corners[2 * row] = part.real
-            corners[2 * row + 1] = part.imag
-        return corners
+    def _fill_lines(self, axis: int, a: int, b: int):
+        """Fill padded lines [a, b) across axis: rows (axis 0) with psi and
+        d1 psi, columns (axis 1) with d0 psi, each padded along itself."""
+        along = 1 - axis
+        # turn views lines-first for columns and back; a no-op for rows
+        turn = (lambda x: x) if axis == 0 else (lambda x: x.swapaxes(-1, -2))
+        lines = turn(self._values)
+        src = lines[a:b]
+        if b > len(lines):
+            # padded line n is line 0
+            src = np.concatenate((src, lines[:1]))
+        src = turn(src)
+        g = _spectral_derivative(src, self.grid, along, self.hbar / self.masses[along],
+                                 self._parts)
+        block = turn(self._block)[:, a:b]
+        for r, part in ((0, src), (4, g)) if axis == 0 else ((2, g),):
+            part = turn(part)
+            for plane, values in ((block[r], part.real), (block[r + 1], part.imag)):
+                plane[:, :-1] = values
+                plane[:, -1] = plane[:, 0]
 
     def at(self, positions: np.ndarray, events: NodeEvents | None = None) -> np.ndarray:
         """Velocity components at the given positions, shape (n, dims)."""
@@ -367,21 +349,16 @@ class VelocityField:
             pts = pos.reshape(-1, 2)
             i0, wx = _interp_weights(grid, pts[:, 0], 0)
             j0, wy = _interp_weights(grid, pts[:, 1], 1)
-            if self._tables is None:
-                self._points_looked_up += len(pts)
-                if self._points_looked_up > _FEW_POINTS:
-                    self._tables = self._corner_tables()
-            if self._tables is None:
-                corners = self._corner_values(i0, j0)
-                ends = lambda e: corners[:, e]  # noqa: E731
-            else:
-                c00 = i0 * (grid.points[1] + 1) + j0
-                # one gather of both y ends keeps a single large temporary
-                # alive; the indices are in range, and numpy's "wrap" mode
-                # gathers faster
-                ends = lambda e: np.take(self._tables,  # noqa: E731
-                                         c00 + self._corner_offsets[e],
-                                         axis=1, mode="wrap")
+            if i0.size:
+                self._cover(0, i0)
+                self._cover(1, j0)
+            c00 = i0 * (grid.points[1] + 1) + j0
+            # one gather of both y ends keeps a single large temporary
+            # alive; the indices are in range, and numpy's "wrap" mode
+            # gathers faster
+            ends = lambda e: np.take(self._tables,  # noqa: E731
+                                     c00 + self._corner_offsets[e],
+                                     axis=1, mode="wrap")
             # along y on the two bracketing x lines first, then along x
             here = _blend(ends(0), wy)
             here *= 1.0 - wx
@@ -704,9 +681,7 @@ class HistogramGrid:
 
     @property
     def bin_volume(self) -> float:
-        return float(
-            np.prod([L / b for L, b in zip(self.grid.extent, self.bins)])
-        )
+        return _bin_volume(self.grid, self.bins)
 
     @classmethod
     def from_positions(cls, grid: GridSpec, positions: np.ndarray,
@@ -732,6 +707,10 @@ class HistogramGrid:
             wy = lows[1] + np.mod(pos[:, 1] - lows[1], grid.extent[1])
             counts, _, _ = np.histogram2d(wx, wy, bins=edges)
         return cls(grid=grid, bins=bins, counts=counts.astype(float))
+
+
+def _bin_volume(grid: GridSpec, bins: tuple[int, ...]) -> float:
+    return float(np.prod([L / b for L, b in zip(grid.extent, bins)]))
 
 
 def _bin_index(grid: GridSpec, positions: np.ndarray,
@@ -795,14 +774,14 @@ def coarse_grained_H(ens: TrajectoryEnsemble, psi: WaveField,
     grid = ens.grid
     bins = tuple(n // cell_size for n in grid.points)
     hist = HistogramGrid.from_positions(grid, ens.positions, bins)
-    return _relative_entropy(hist, _bin_average(psi.density().values, grid, bins))
+    return _relative_entropy(hist.density, _bin_average(psi.density().values, grid, bins),
+                             hist.bin_volume)
 
 
-def _relative_entropy(hist: HistogramGrid, rho_bar: np.ndarray) -> float:
-    p_bar = hist.density
+def _relative_entropy(p_bar: np.ndarray, rho_bar: np.ndarray, bin_volume: float) -> float:
     mask = p_bar > 0
     ratio = p_bar[mask] / np.maximum(rho_bar[mask], 1e-300)
-    return float(np.sum(p_bar[mask] * np.log(ratio)) * hist.bin_volume)
+    return float(np.sum(p_bar[mask] * np.log(ratio)) * bin_volume)
 
 
 def bootstrap_coarse_H(ens: TrajectoryEnsemble, psi: WaveField,
@@ -812,21 +791,23 @@ def bootstrap_coarse_H(ens: TrajectoryEnsemble, psi: WaveField,
 
     Each trajectory's bin is assigned once; a resample then only redraws
     the trajectory indices and counts their bins, which gives the same
-    histogram as re-binning the resampled positions.
+    histogram density as re-binning the resampled positions, on flat bins
+    in the same order.
     """
     h_value = coarse_grained_H(ens, psi, cell_size)
     grid = ens.grid
     bins = tuple(n // cell_size for n in grid.points)
-    rho_bar = _bin_average(psi.density().values, grid, bins)
+    rho_bar = _bin_average(psi.density().values, grid, bins).ravel()
+    bin_volume = _bin_volume(grid, bins)
     flat = _bin_index(grid, ens.positions, bins)
-    size = int(np.prod(bins))
+    size = rho_bar.size
     rng = np.random.default_rng(seed)
     n = ens.size
     samples = np.empty(n_boot)
     for b in range(n_boot):
         idx = rng.integers(0, n, size=n)
-        counts = np.bincount(flat[idx], minlength=size + 1)[:size].reshape(bins)
-        hist = HistogramGrid(grid=grid, bins=bins, counts=counts.astype(float))
-        samples[b] = _relative_entropy(hist, rho_bar)
+        counts = np.bincount(flat[idx], minlength=size + 1)[:size]
+        samples[b] = _relative_entropy(counts / (counts.sum() * bin_volume), rho_bar,
+                                       bin_volume)
     lo, hi = np.percentile(samples, [2.5, 97.5])
     return h_value, float(lo), float(hi)

@@ -268,6 +268,15 @@ class WaveField:
         object.__setattr__(self, "values", _freeze(v))
 
     @classmethod
+    def _adopt(cls, grid: GridSpec, values: np.ndarray) -> "WaveField":
+        """Wrap, uncopied and frozen, a complex grid-shaped array no one else holds."""
+        values.setflags(write=False)
+        field = object.__new__(cls)
+        object.__setattr__(field, "grid", grid)
+        object.__setattr__(field, "values", values)
+        return field
+
+    @classmethod
     def from_function(cls, grid: GridSpec, fn) -> "WaveField":
         return cls(grid, fn(*grid.meshgrid()) if grid.dims == 2 else fn(grid.axis(0)))
 

@@ -563,47 +563,84 @@ def _plane_points(grid):
     return st.tuples(st.one_of(_coordinates(grid, 0), near_node), _coordinates(grid, 1))
 
 
+def _whole_grid_field(psi, **kwargs):
+    """A VelocityField whose spans were filled over the whole grid first, by
+    a lookup at the first and the last node."""
+    grid = psi.grid
+    field = VelocityField(psi, **kwargs)
+    field.at(np.array([[grid.axis(0)[0], grid.axis(1)[0]],
+                       [grid.axis(0)[-1], grid.axis(1)[-1]]]))
+    assert field._spans == [(0, n + 1) for n in grid.points]
+    return field
+
+
 @settings(max_examples=60, deadline=None)
 @given(seed=st.integers(0, 10_000),
        kind=st.sampled_from(["complex", "real-lines", "nodal"]),
-       pts=st.lists(_plane_points(_PLANE), min_size=1,
-                    max_size=ensemble_module._FEW_POINTS))
-def test_few_point_2d_lookup_equals_table_lookup(seed, kind, pts):
+       pts=st.lists(_plane_points(_PLANE), min_size=1, max_size=12))
+def test_span_2d_lookup_equals_whole_grid_lookup(seed, kind, pts):
     psi = _nodal_plane_wave(kind, seed)
     positions = np.array(pts)
     masses = (0.7, 1.3)
     few, few_events = VelocityField(psi, masses=masses), NodeEvents()
     got = few.at(positions, few_events)
-    assert few._tables is None  # the corner path answered
-    table, table_events = VelocityField(psi, masses=masses), NodeEvents()
-    table.at(np.zeros((ensemble_module._FEW_POINTS + 1, 2)))
-    assert table._tables is not None
-    want = table.at(positions, table_events)
+    whole, whole_events = _whole_grid_field(psi, masses=masses), NodeEvents()
+    want = whole.at(positions, whole_events)
     assert got.tobytes() == want.tobytes()
-    assert few_events == table_events
+    assert few_events == whole_events
 
 
-def test_few_point_2d_lookup_caps_on_the_node_line():
+def test_span_2d_lookup_caps_on_the_node_line():
     psi = _nodal_plane_wave("nodal", seed=3)
     x_node = _PLANE.axis(0)[20]
     events = NodeEvents()
     field = VelocityField(psi)
     v = field.at(np.array([[x_node, 0.3], [x_node + 1e-12, -2.0]]), events)
-    assert field._tables is None
+    assert field._spans[0] == (20, 22)  # the two rows through the node line
     assert events == NodeEvents(evaluations=2, capped=2)
     assert np.all(np.abs(v[:, 0]) <= np.pi / _PLANE.spacing[0])
 
 
-def test_2d_tables_built_once_lookups_pass_few_points():
+def test_2d_lines_transformed_once_per_field(monkeypatch):
     psi = _band_limited_wave(_PLANE, seed=5, real=False)
+    transformed = [0, 0]  # lines differentiated along x, along y
+    derivative = ensemble_module._spectral_derivative
+
+    def counting(values, grid, axis, *args):
+        transformed[axis] += values.shape[1 - axis]
+        return derivative(values, grid, axis, *args)
+
+    monkeypatch.setattr(ensemble_module, "_spectral_derivative", counting)
     field = VelocityField(psi)
     point = np.array([[0.25, -1.5]])
     first = field.at(point)
-    for _ in range(ensemble_module._FEW_POINTS - 1):
-        field.at(point)
-    assert field._tables is None
+    assert transformed == [2, 2]
+    for _ in range(5):
+        assert field.at(point).tobytes() == first.tobytes()
+    assert transformed == [2, 2]
+    # a wider lookup transforms only the lines its span adds, once each
+    h = np.array(_PLANE.spacing)
+    field.at(point + np.array([[-3.0, 4.0], [2.0, -1.0]]) * h)
+    spans = field._spans
+    assert transformed == [spans[1][1] - spans[1][0], spans[0][1] - spans[0][0]]
     assert field.at(point).tobytes() == first.tobytes()
-    assert field._tables is not None
+
+
+def test_streaming_2d_fields_equal_stored_over_a_full_window():
+    grid = GridSpec.centered((24.0, 24.0), (128, 128))
+    line = grid.axis_line(0)
+    psi0 = WaveField(grid, np.outer(gaussian_packet(line, 1.0, momentum=1.0).values,
+                                    gaussian_packet(line, 1.3, momentum=-0.5).values))
+    potential = Potential.harmonic(grid, 1.0)
+    dt, steps, window = 0.02, 8, 6
+    stored = WaveTimeline.from_oracle(psi0, potential, dt, steps)
+    streaming = OracleTimeline(psi0, potential, dt, window=window)
+    # hold every streamed field past the window: none may share a buffer
+    held = [streaming.at(j * dt / 2) for j in range(2 * steps + 1)]
+    assert len(held) > window
+    for got, want in zip(held, stored.fields):
+        assert got.values.tobytes() == want.values.tobytes()
+    assert len({id(f.values) for f in held}) == len(held)
 
 
 def test_velocity_field_rejects_nan_psi():

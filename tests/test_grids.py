@@ -239,6 +239,16 @@ class TestImmutability:
         with pytest.raises(ValueError):
             f.values[0] = 1.0
 
+    def test_read_only_input_is_still_copied(self, line):
+        # an owning array can be made writable again; the field must not see it
+        v = np.ones(line.shape, dtype=complex)
+        v.setflags(write=False)
+        w = WaveField(line, v)
+        v.setflags(write=True)
+        v[0] = 5.0
+        assert not np.shares_memory(w.values, v)
+        assert w.values[0] == 1.0
+
 
 # properties the whole package leans on
 

@@ -146,6 +146,27 @@ class TestSplitStep:
             out = split_step_evolve(state, potential, 3)
             assert np.array_equal(out.psi.values, fresh_split_step(state, potential, 3))
 
+    def test_input_field_is_only_read(self, grid512, harmonic512):
+        psi = gaussian_packet(grid512, 1.0, momentum=1.0)
+        before = psi.values.copy()
+        split_step_evolve(PropagatorState(psi, 0.0, 1e-3), harmonic512, 3)
+        assert psi.values.tobytes() == before.tobytes()
+
+    def test_one_step_calls_return_arrays_of_their_own(self, grid512, harmonic512):
+        state = PropagatorState(gaussian_packet(grid512, 1.0, momentum=1.0), 0.0, 1e-3)
+        first = split_step_evolve(state, harmonic512, 1)
+        kept = first.psi.values.copy()
+        second = split_step_evolve(first, harmonic512, 1)
+        assert not np.shares_memory(first.psi.values, second.psi.values)
+        assert first.psi.values.tobytes() == kept.tobytes()
+        assert not second.psi.values.flags.writeable
+
+    def test_zero_steps_return_the_input_values(self, grid512, harmonic512):
+        state = PropagatorState(gaussian_packet(grid512, 1.0), 0.0, 1e-3)
+        out = split_step_evolve(state, harmonic512, 0)
+        assert out.psi.values.tobytes() == state.psi.values.tobytes()
+        assert out.t == state.t and not out.psi.values.flags.writeable
+
 
 class TestSplitStep2D:
     """The 1D bit-identity checks on a 128x128 harmonic trap: 2D results
@@ -173,6 +194,14 @@ class TestSplitStep2D:
         assert np.array_equal(stepped.psi.values, whole.psi.values)
         assert stepped.t == pytest.approx(whole.t)
 
+    def test_one_step_equals_out_of_place_formula(self, grid2):
+        harmonic = Potential.harmonic(grid2, 1.0)
+        state = PropagatorState(self.packet(grid2), 0.0, 1e-3)
+        before = state.psi.values.copy()
+        out = split_step_evolve(state, harmonic, 1)
+        assert out.psi.values.tobytes() == fresh_split_step(state, harmonic, 1).tobytes()
+        assert state.psi.values.tobytes() == before.tobytes()
+
     def test_cached_phases_equal_fresh_builds(self, grid2):
         harmonic = Potential.harmonic(grid2, 1.0)
         shifted = Potential.harmonic(grid2, 1.3, center=(0.5, -0.5))
@@ -186,7 +215,10 @@ class TestSplitStep2D:
 
 
 def fresh_split_step(state, potential, steps):
-    """Strang steps with both phase factors built anew on each call."""
+    """Strang steps with both phase factors built anew on each call.
+
+    The kinetic product takes the transform first: complex products round
+    by operand order, and split_step_evolve multiplies in this order."""
     grid = state.psi.grid
     dt, hbar, m = state.dt, state.hbar, state.m
     k2 = np.zeros(grid.shape)
@@ -199,7 +231,7 @@ def fresh_split_step(state, potential, steps):
     psi = state.psi.values
     for _ in range(steps):
         psi = half_v * psi
-        psi = np.fft.ifftn(kin * np.fft.fftn(psi))
+        psi = np.fft.ifftn(np.fft.fftn(psi) * kin)
         psi = half_v * psi
     return psi
 
