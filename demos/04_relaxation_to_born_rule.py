@@ -14,8 +14,8 @@ rearranged, and no such relaxation happens; two dimensions are essential.)
 
 import numpy as np
 
-from qfluid import GridSpec, ScalarField, WaveField
-from qfluid.oracle import Potential, stationary_states, tensor_eigenstate
+from qfluid import GridSpec
+from qfluid.oracle import random_phase_superposition
 from qfluid.ensemble import (
     OracleTimeline,
     TrajectoryEnsemble,
@@ -25,23 +25,8 @@ from qfluid.ensemble import (
 
 omega_x, omega_y = 1.0, 0.5 * (1 + np.sqrt(5.0))
 grid = GridSpec.centered((20.0, 20.0), (128, 128))
-axis_x, axis_y = grid.axis_line(0), grid.axis_line(1)
-pot_x = Potential.harmonic(axis_x, omega_x)
-pot_y = Potential.harmonic(axis_y, omega_y)
 modes = (2, 3, 5, 7)
-eig_x = stationary_states(pot_x, max(modes) + 1)
-eig_y = stationary_states(pot_y, max(modes) + 1)
-joint = Potential.custom(
-    ScalarField(grid, pot_x.values[:, None] + pot_y.values[None, :])
-)
-
-rng = np.random.default_rng(2)
-values = np.zeros(grid.shape, dtype=complex)
-for nx in modes:
-    for ny in modes:
-        _, phi = tensor_eigenstate(grid, eig_x[nx], eig_y[ny])
-        values += np.exp(1j * rng.uniform(0, 2 * np.pi)) * phi.values / 4.0
-psi0 = WaveField(grid, values).normalized()
+psi0, joint = random_phase_superposition(grid, omega_x, omega_y, modes, phase_seed=2)
 
 n_traj = 8000
 period = 2 * np.pi / omega_x

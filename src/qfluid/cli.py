@@ -84,7 +84,7 @@ def main(argv=None) -> int:
     except (QFluidError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, TypeError, ZeroDivisionError) as exc:
+    except (ValueError, TypeError, ArithmeticError) as exc:
         # a config value of the wrong type or range that no check caught
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE

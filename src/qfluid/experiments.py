@@ -1,20 +1,23 @@
 """Batch scenarios: declarative configs in, CSV artifacts and manifests out.
 
-Each scenario takes an ExperimentConfig (one flat JSON document), runs the
-relevant modules, writes its data files and returns a RunManifest whose
-criteria list carries one pass/fail verdict per acceptance check in scope.
-Everything is deterministic: the config plus the code version fixes every
-output byte (the manifest's wall_time_s field is the one exception).
+SCHEMAS declares each scenario's keys once: name, kind and default, plus its
+tolerances and default grid. run() checks a config against it and hands the
+scenario the checked values; the scenario writes its data files, and the
+RunManifest carries one pass/fail verdict per acceptance check in scope.
+The config plus the code version fixes every output byte (the manifest's
+wall_time_s field is the one exception).
 """
 
 from __future__ import annotations
 
 import json
 import math
+import numbers
 import os
 import time
 from dataclasses import dataclass
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 
@@ -30,9 +33,9 @@ from .oracle import (
     harmonic_ground_state,
     periodic_gaussian_density,
     plane_wave,
+    random_phase_superposition,
     split_step_evolve,
     stationary_states,
-    tensor_eigenstate,
 )
 from .madelung import (
     decompose,
@@ -74,10 +77,6 @@ __all__ = ["ExperimentConfig", "RunManifest", "Criterion", "run", "sweep", "repo
 OUTPUT_ROOT_ENV = "QFLUID_OUTPUT_ROOT"
 
 
-# config keys whose value is a JSON object of named sub-settings
-_OBJECT_KEYS = ("constants", "grid", "tolerances")
-
-
 @dataclass(frozen=True)
 class ExperimentConfig:
     """Declarative description of one run; flat key namespace."""
@@ -98,11 +97,6 @@ class ExperimentConfig:
             raise ConfigError(
                 f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}"
             )
-        for key in _OBJECT_KEYS:
-            if key in doc and not isinstance(doc[key], dict):
-                raise ConfigError(
-                    f"config key {key!r} must be a JSON object, got {doc[key]!r}"
-                )
         return cls(scenario=scenario, params=doc, output_dir=output_dir)
 
     @classmethod
@@ -115,20 +109,9 @@ class ExperimentConfig:
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(doc)
 
-    def get(self, key, default):
-        return self.params.get(key, default)
-
-    def constants(self) -> tuple[float, float]:
-        c = self.get("constants", {})
-        return float(c.get("hbar", 1.0)), float(c.get("m", 1.0))
-
     def diffusion_constant(self) -> float:
         """D from the config, defaulting to hbar / 2m."""
-        c = self.get("constants", {})
-        if "D" in c and c["D"] is not None:
-            return float(c["D"])
-        hbar, m = self.constants()
-        return hbar / (2.0 * m)
+        return _validate_keys(self).D
 
     def to_dict(self) -> dict:
         doc = {"scenario": self.scenario}
@@ -195,27 +178,6 @@ class RunManifest:
         return _write_json(outdir / "run_manifest.json", self.to_dict())
 
 
-def _as_integer(key: str, value) -> int:
-    """A config value that must be an integer. int() would truncate 2.7 to
-    2 and read true as 1, so a bool, a non-integral number or a non-number
-    is a ConfigError; an integral float such as 640.0 is accepted."""
-    if isinstance(value, (int, np.integer)) and not isinstance(value, bool):
-        return int(value)
-    if isinstance(value, (float, np.floating)) and float(value).is_integer():
-        return int(value)
-    raise ConfigError(f"config key {key!r} must be an integer, got {value!r}")
-
-
-def _integer(cfg: ExperimentConfig, key: str, default: int,
-             minimum: int | None = None) -> int:
-    """An integer config value; a count (minimum 1) of zero or less would
-    run a degenerate scenario or fail deep inside it."""
-    value = _as_integer(key, cfg.get(key, default))
-    if minimum is not None and value < minimum:
-        raise ConfigError(f"config key {key!r} must be at least {minimum}, got {value}")
-    return value
-
-
 def _non_finite(doc, path: str = "") -> list[str]:
     """Paths (a.b[2].c) of the non-finite floats in a JSON-ready document."""
     if isinstance(doc, float):
@@ -239,15 +201,6 @@ def _write_json(path: Path, doc: dict) -> Path:
     return path
 
 
-def _grid_from_config(cfg: ExperimentConfig, default_extent, default_points) -> GridSpec:
-    g = cfg.get("grid", {})
-    extent = g.get("extent", default_extent)
-    points = g.get("points", default_points)
-    if "origin" in g:
-        return GridSpec.regular(extent, points, g["origin"])
-    return GridSpec.centered(extent, points)
-
-
 def _rel_l2(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.linalg.norm(a - b) / np.linalg.norm(b))
 
@@ -268,41 +221,28 @@ def _write_table(path: Path, header: list[str], rows: list[list]) -> Path:
 # scenarios
 
 
-def _scenario_oracle_evolve(cfg: ExperimentConfig, outdir: Path):
-    hbar, m = cfg.constants()
-    kind = cfg.get("kind", "harmonic-coherent")
-    grid = _grid_from_config(cfg, 24.0, 512)
-    dt = float(cfg.get("dt", 1e-3))
-    if "t_end" in cfg.params:
-        steps = round(float(cfg.params["t_end"]) / dt)
-    else:
-        steps = _integer(cfg, "steps", 6283, minimum=1)
-    omega = float(cfg.get("constants", {}).get("omega", 1.0))
-
-    if kind == "harmonic-ground":
+def _scenario_oracle_evolve(p: SimpleNamespace, outdir: Path):
+    grid, hbar, m, omega = p.grid, p.hbar, p.m, p.omega
+    if p.kind == "harmonic-ground":
         psi0 = harmonic_ground_state(grid, omega, hbar, m)
         potential = Potential.harmonic(grid, omega, m)
         reference = lambda t: psi0
-    elif kind == "harmonic-coherent":
-        a = float(cfg.get("displacement", 2.0))
-        psi0 = coherent_state(grid, omega, a, 0.0, hbar, m)
+    elif p.kind == "harmonic-coherent":
+        psi0 = coherent_state(grid, omega, p.displacement, 0.0, hbar, m)
         potential = Potential.harmonic(grid, omega, m)
-        reference = lambda t: coherent_state(grid, omega, a, t, hbar, m)
-    elif kind == "free-gaussian":
-        s0 = float(cfg.get("width", 1.0))
-        psi0 = gaussian_packet(grid, s0, hbar=hbar)
+        reference = lambda t: coherent_state(grid, omega, p.displacement, t, hbar, m)
+    elif p.kind == "free-gaussian":
+        psi0 = gaussian_packet(grid, p.width, hbar=hbar)
         potential = Potential.free(grid)
         reference = None
-    elif kind == "plane-wave":
-        psi0 = plane_wave(grid, _integer(cfg, "mode", 3))
+    else:  # plane-wave
+        psi0 = plane_wave(grid, p.mode)
         potential = Potential.free(grid)
         reference = None
-    else:
-        raise ConfigError(f"unknown oracle-evolve kind {kind!r}")
 
-    state = PropagatorState(psi0, 0.0, dt, hbar, m)
+    state = PropagatorState(psi0, 0.0, p.dt, hbar, m)
     e0 = energy_expectation(state, potential)
-    final = split_step_evolve(state, potential, steps)
+    final = split_step_evolve(state, potential, p.steps)
     e1 = energy_expectation(final, potential)
 
     metrics = {
@@ -315,55 +255,46 @@ def _scenario_oracle_evolve(cfg: ExperimentConfig, outdir: Path):
             np.sqrt(np.sum(np.abs(final.psi.values - ref.values) ** 2)
                     * grid.cell_volume)
         )
-    tol = cfg.get("tolerances", {})
     criteria = [
-        Criterion("unitarity_drift", metrics["norm_drift"],
-                  float(tol.get("norm_drift", 1e-9))),
+        Criterion("unitarity_drift", metrics["norm_drift"], p.tolerances.norm_drift),
         Criterion("energy_drift_rel", metrics["energy_drift_rel"],
-                  float(tol.get("energy_drift_rel", 1e-6))),
+                  p.tolerances.energy_drift_rel),
     ]
     outputs = [str(write_field_csv(final.psi, outdir / "psi_final.csv"))]
     return metrics, criteria, outputs, 0
 
 
-def _scenario_madelung_compare(cfg: ExperimentConfig, outdir: Path):
-    hbar, m = cfg.constants()
-    grid = _grid_from_config(cfg, 24.0, 256)
-    s0 = float(cfg.get("width", 1.0))
-    momentum = float(cfg.get("momentum", 2.0))
-    dt_snap = float(cfg.get("dt", 1e-3))
-    n_windows = _integer(cfg, "snapshot_windows", 5, minimum=1)
+def _scenario_madelung_compare(p: SimpleNamespace, outdir: Path):
+    grid, hbar, m = p.grid, p.hbar, p.m
     potential = Potential.free(grid)
 
     # residuals from consecutive oracle snapshots at several times
-    psi0 = gaussian_packet(grid, s0, momentum=momentum, hbar=hbar)
-    state = PropagatorState(psi0, 0.0, dt_snap, hbar, m)
+    psi0 = gaussian_packet(grid, p.width, momentum=p.momentum, hbar=hbar)
+    state = PropagatorState(psi0, 0.0, p.dt, hbar, m)
     rows = []
     worst_cont = worst_mom = 0.0
-    for _ in range(n_windows):
+    for _ in range(p.snapshot_windows):
         prev = state
         mid = split_step_evolve(prev, potential, 1)
         nxt = split_step_evolve(mid, potential, 1)
         res = residuals_from_snapshots(
-            prev.psi, mid.psi, nxt.psi, potential, dt_snap, hbar, m,
+            prev.psi, mid.psi, nxt.psi, potential, p.dt, hbar, m,
         )
         rows.append([mid.t, res.continuity, res.momentum])
         worst_cont = max(worst_cont, res.continuity)
         worst_mom = max(worst_mom, res.momentum)
         state = split_step_evolve(nxt, potential, 18)
 
-    # direct integration of the hydrodynamic system vs the oracle
-    dt_step = float(cfg.get("madelung_dt", 1e-4))
-    t_end = float(cfg.get("t_end", 0.5))
-    psi_plain = gaussian_packet(grid, s0, hbar=hbar)
+    # direct integration of the hydrodynamic system vs the oracle, over
+    # t_end in steps of madelung_dt
+    psi_plain = gaussian_packet(grid, p.width, hbar=hbar)
     state = decompose(psi_plain, hbar, m)
-    n_steps = round(t_end / dt_step)
     renorm_max = 0.0
-    for _ in range(n_steps):
-        state = madelung_step(state, potential, dt_step)
+    for _ in range(p.steps):
+        state = madelung_step(state, potential, p.madelung_dt)
         renorm_max = max(renorm_max, state.last_renorm)
     oracle_final = split_step_evolve(
-        PropagatorState(psi_plain, 0.0, dt_step, hbar, m), potential, n_steps
+        PropagatorState(psi_plain, 0.0, p.madelung_dt, hbar, m), potential, p.steps
     )
     rho_err = float(
         np.sqrt(np.sum((state.rho.values - oracle_final.psi.density().values) ** 2)
@@ -376,11 +307,11 @@ def _scenario_madelung_compare(cfg: ExperimentConfig, outdir: Path):
         "rho_l2_vs_oracle": rho_err,
         "max_renormalization": renorm_max,
     }
-    tol = cfg.get("tolerances", {})
+    tol = p.tolerances
     criteria = [
-        Criterion("residual_continuity", worst_cont, float(tol.get("residual", 1e-3))),
-        Criterion("residual_momentum", worst_mom, float(tol.get("residual", 1e-3))),
-        Criterion("rho_l2_vs_oracle", rho_err, float(tol.get("rho_l2", 1e-3))),
+        Criterion("residual_continuity", worst_cont, tol.residual),
+        Criterion("residual_momentum", worst_mom, tol.residual),
+        Criterion("rho_l2_vs_oracle", rho_err, tol.rho_l2),
     ]
     outputs = [
         str(_write_table(outdir / "residuals.csv",
@@ -389,24 +320,18 @@ def _scenario_madelung_compare(cfg: ExperimentConfig, outdir: Path):
         str(write_field_csv(quantum_potential(state.rho, hbar, m),
                             outdir / "quantum_potential.csv")),
     ]
-    outputs += [str(p) for p in write_vector_csv(state.v, outdir / "velocity.csv")]
+    outputs += [str(path) for path in write_vector_csv(state.v, outdir / "velocity.csv")]
     return metrics, criteria, outputs, 0
 
 
-def _scenario_twofluid_verify(cfg: ExperimentConfig, outdir: Path):
-    hbar, m = cfg.constants()
-    D = cfg.diffusion_constant()
-    grid = _grid_from_config(cfg, 12.0, 512)
-    s = float(cfg.get("width", 1.0))
-    delta_t = float(cfg.get("delta_t", 1e-4))
-    n_micro = _integer(cfg, "n_micro", 16, minimum=1)
-    substeps = _integer(cfg, "micro_substeps", 1, minimum=1)
+def _scenario_twofluid_verify(p: SimpleNamespace, outdir: Path):
+    hbar, m, D = p.hbar, p.m, p.D
 
     # periodized so the density is genuinely smooth across the seam and
     # never reaches the regularization floor anywhere on the grid
-    rho = periodic_gaussian_density(grid, s)
-    two = TwoFluidConfig.make(delta_t=delta_t, N_micro=n_micro, D=D,
-                              micro_substeps=substeps)
+    rho = periodic_gaussian_density(p.grid, p.width)
+    two = TwoFluidConfig.make(delta_t=p.delta_t, N_micro=p.n_micro, D=D,
+                              micro_substeps=p.micro_substeps)
     acc = averaged_acceleration(rho, two)
     grad_q = gradient(quantum_potential(rho, hbar, m))
     grad_q_over_m = grad_q.components[0] / m
@@ -427,49 +352,31 @@ def _scenario_twofluid_verify(cfg: ExperimentConfig, outdir: Path):
         "fit_coefficient_rel_dev": coeff_dev,
         "reaction_exact_approx_gap": force.max_rel_gap,
     }
-    tol = cfg.get("tolerances", {})
     criteria = [
-        Criterion("rel_err_vs_gradQ", rel_err, float(tol.get("rel_err", 1e-3))),
-        Criterion("fit_coefficient_rel_dev", coeff_dev,
-                  float(tol.get("coeff_dev", 5e-3))),
+        Criterion("rel_err_vs_gradQ", rel_err, p.tolerances.rel_err),
+        Criterion("fit_coefficient_rel_dev", coeff_dev, p.tolerances.coeff_dev),
     ]
     outputs = [
         str(_write_table(outdir / "convergence.csv",
                          ["delta_t", "N_micro", "D", "rel_err_vs_gradQ"],
-                         [[delta_t, n_micro, D, rel_err]])),
+                         [[p.delta_t, p.n_micro, D, rel_err]])),
         str(write_field_csv(quantum_potential(rho, hbar, m),
                             outdir / "quantum_potential.csv")),
     ]
-    outputs += [str(p) for p in write_vector_csv(acc, outdir / "averaged_acceleration.csv")]
+    outputs += [str(path) for path in write_vector_csv(acc, outdir / "averaged_acceleration.csv")]
     return metrics, criteria, outputs, 0
 
 
-def _check_checkpoints(checkpoints: int, steps: int):
-    """Each checkpoint closes a chunk of steps // checkpoints steps, so a
-    chunk of zero steps would report a metric for no evolution at all."""
-    if not 1 <= checkpoints <= steps:
-        raise ConfigError(
-            f"checkpoints must be between 1 and steps ({steps}), got {checkpoints}"
-        )
+def _scenario_equivariance(p: SimpleNamespace, outdir: Path):
+    grid, hbar, m = p.grid, p.hbar, p.m
+    n_traj, steps, bins, seed = p.n_trajectories, p.steps, p.bins, p.seed
 
-
-def _scenario_equivariance(cfg: ExperimentConfig, outdir: Path):
-    hbar, m = cfg.constants()
-    omega = float(cfg.get("constants", {}).get("omega", 1.0))
-    grid = _grid_from_config(cfg, 24.0, 512)
-    n_traj = _integer(cfg, "n_trajectories", 100000, minimum=1)
-    steps = _integer(cfg, "steps", 640, minimum=1)
-    bins = _integer(cfg, "bins", 64, minimum=1)
-    checkpoints = _integer(cfg, "checkpoints", 10)
-    _check_checkpoints(checkpoints, steps)
-    seed = _integer(cfg, "seed", 42)
-
-    potential = Potential.harmonic(grid, omega, m)
+    potential = Potential.harmonic(grid, p.omega, m)
     pairs = stationary_states(potential, 2, hbar, m)
     psi0 = WaveField(
         grid, (pairs[0][1].values + pairs[1][1].values) / np.sqrt(2)
     ).normalized()
-    period = 2 * np.pi / omega
+    period = 2 * np.pi / p.omega
     dt = period / steps
     timeline = WaveTimeline.from_oracle(psi0, potential, dt, steps, hbar, m)
     ens = sample_equilibrium(psi0.density(), n_traj, seed, hbar, m)
@@ -481,8 +388,8 @@ def _scenario_equivariance(cfg: ExperimentConfig, outdir: Path):
     capped_total = 0
     ever_degraded = False
     current = ens
-    chunk = steps // checkpoints
-    for c in range(1, checkpoints + 1):
+    chunk = steps // p.checkpoints
+    for c in range(1, p.checkpoints + 1):
         result = propagate_ensemble(current, timeline, dt, chunk,
                                     record_history=False,
                                     t_start=(c - 1) * chunk * dt)
@@ -501,9 +408,8 @@ def _scenario_equivariance(cfg: ExperimentConfig, outdir: Path):
         "capped_fraction": capped_total / n_traj,
         "degraded": float(ever_degraded),
     }
-    tol = cfg.get("tolerances", {})
     criteria = [
-        Criterion("l1_max", l1_max, float(tol.get("l1", 0.03))),
+        Criterion("l1_max", l1_max, p.tolerances.l1),
         Criterion("degraded", metrics["degraded"], 0.0),
     ]
     # trajectories are mutually independent, so replaying a small sample
@@ -523,44 +429,20 @@ def _scenario_equivariance(cfg: ExperimentConfig, outdir: Path):
     return metrics, criteria, outputs, capped_total
 
 
-def _scenario_relaxation(cfg: ExperimentConfig, outdir: Path):
-    hbar, m = cfg.constants()
-    omega_x = float(cfg.get("constants", {}).get("omega", 1.0))
-    omega_y = float(cfg.get("omega_y", omega_x * 0.5 * (1 + np.sqrt(5.0))))
-    grid = _grid_from_config(cfg, (20.0, 20.0), (128, 128))
-    n_traj = _integer(cfg, "n_trajectories", 20000, minimum=1)
-    steps = _integer(cfg, "steps", 1200, minimum=1)
-    cell = _integer(cfg, "cell_size", 8)
-    checkpoints = _integer(cfg, "checkpoints", 10)
-    _check_checkpoints(checkpoints, steps)
-    phase_seed = _integer(cfg, "phase_seed", 2)
-    seed = _integer(cfg, "seed", 102)
-    start_half_width = float(cfg.get("start_half_width", 2.5))
-    mode_index = cfg.get("mode_index", [2, 3, 5, 7])
+def _scenario_relaxation(p: SimpleNamespace, outdir: Path):
+    grid, hbar, m, steps, cell = p.grid, p.hbar, p.m, p.steps, p.cell_size
+    # the slow axis defaults to the golden ratio times omega: incommensurate
+    omega_y = (p.omega_y if p.omega_y is not None
+               else float(p.omega * 0.5 * (1 + np.sqrt(5.0))))
+    psi0, joint = random_phase_superposition(grid, p.omega, omega_y, p.mode_index,
+                                             p.phase_seed, hbar, m)
 
-    gx, gy = grid.axis_line(0), grid.axis_line(1)
-    ux = Potential.harmonic(gx, omega_x, m)
-    uy = Potential.harmonic(gy, omega_y, m)
-    n_eigen = max(mode_index) + 1
-    px = stationary_states(ux, n_eigen, hbar, m)
-    py = stationary_states(uy, n_eigen, hbar, m)
-    joint = Potential.custom(
-        ScalarField(grid, ux.values[:, None] + uy.values[None, :])
-    )
-    rng = np.random.default_rng(phase_seed)
-    vals = np.zeros(grid.shape, dtype=complex)
-    amp = 1.0 / np.sqrt(len(mode_index) ** 2)
-    for nx in mode_index:
-        for ny in mode_index:
-            _, phi = tensor_eigenstate(grid, px[nx], py[ny])
-            vals += np.exp(1j * rng.uniform(0, 2 * np.pi)) * amp * phi.values
-    psi0 = WaveField(grid, vals).normalized()
-
-    period = 2 * np.pi / omega_x
+    period = 2 * np.pi / p.omega
     dt = period / steps
-    rng_pos = np.random.default_rng(seed)
-    positions = rng_pos.uniform(-start_half_width, start_half_width, (n_traj, 2))
-    ens = TrajectoryEnsemble(grid=grid, positions=positions, seed=seed,
+    rng_pos = np.random.default_rng(p.seed)
+    positions = rng_pos.uniform(-p.start_half_width, p.start_half_width,
+                                (p.n_trajectories, 2))
+    ens = TrajectoryEnsemble(grid=grid, positions=positions, seed=p.seed,
                              hbar=hbar, m=m)
     timeline = OracleTimeline(psi0, joint, dt, hbar, m)
 
@@ -569,9 +451,9 @@ def _scenario_relaxation(cfg: ExperimentConfig, outdir: Path):
     rows.append([0.0, h0, lo, hi])
     current = ens
     capped = 0
-    chunk = steps // checkpoints
+    chunk = steps // p.checkpoints
     worst_excess = -np.inf
-    for c in range(checkpoints):
+    for c in range(p.checkpoints):
         res = propagate_ensemble(current, timeline, dt, chunk,
                                  record_history=False, t_start=c * chunk * dt)
         current = res.ensemble
@@ -591,9 +473,8 @@ def _scenario_relaxation(cfg: ExperimentConfig, outdir: Path):
         "worst_increase_minus_band": worst_excess,
         "capped_trajectories": capped,
     }
-    tol = cfg.get("tolerances", {})
     criteria = [
-        Criterion("decay_fraction", decay, float(tol.get("decay", 0.5)), ">="),
+        Criterion("decay_fraction", decay, p.tolerances.decay, ">="),
         Criterion("worst_increase_minus_band", worst_excess, 0.0),
     ]
     outputs = [
@@ -603,22 +484,12 @@ def _scenario_relaxation(cfg: ExperimentConfig, outdir: Path):
     return metrics, criteria, outputs, capped
 
 
-def _scenario_measurement(cfg: ExperimentConfig, outdir: Path):
-    hbar, m = cfg.constants()
-    omega = float(cfg.get("constants", {}).get("omega", 1.0))
-    coupling = float(cfg.get("constants", {}).get("lambda", 1.0))
-    grid_x = _grid_from_config(cfg, 24.0, 256)
-    y_extent = float(cfg.get("y_extent", 16.0))
-    y_points = _integer(cfg, "y_points", 256, minimum=1)
-    grid_y = GridSpec.centered(y_extent, y_points)
-    pointer_width = float(cfg.get("pointer_width", 0.5))
-    pointer_center = float(cfg.get("pointer_center", -4.0))
-    k_single = _integer(cfg, "single_mode", 2, minimum=0)
-    t_single = float(cfg.get("duration_single", 2.0))
-    t_pair = float(cfg.get("duration_pair", 4.0))
-    run_brute = cfg.get("run_brute", True)
-    if not isinstance(run_brute, bool):
-        raise ConfigError(f"run_brute must be true or false, got {run_brute!r}")
+def _scenario_measurement(p: SimpleNamespace, outdir: Path):
+    grid_x, hbar, m, omega = p.grid, p.hbar, p.m, p.omega
+    coupling = getattr(p, "lambda")
+    grid_y = GridSpec.centered(p.y_extent, p.y_points)
+    pointer_width, pointer_center = p.pointer_width, p.pointer_center
+    k_single, t_single, t_pair = p.single_mode, p.duration_single, p.duration_pair
 
     potential = Potential.harmonic(grid_x, omega, m)
     pairs = stationary_states(potential, max(k_single + 1, 2), hbar, m)
@@ -648,51 +519,41 @@ def _scenario_measurement(cfg: ExperimentConfig, outdir: Path):
         "lobe_deviation_closed": lobe_dev,
         "joint_norm_drift": abs(joint_pair.norm() - 1.0),
     }
-    tol = cfg.get("tolerances", {})
+    tol = p.tolerances
     criteria = [
         Criterion("pointer_mean_error", mean_err,
-                  float(tol.get("mean_err", grid_y.spacing[0]))),
-        Criterion("lobe_deviation_closed", lobe_dev,
-                  float(tol.get("lobe_closed", 1e-3))),
+                  tol.mean_err if tol.mean_err is not None else grid_y.spacing[0]),
+        Criterion("lobe_deviation_closed", lobe_dev, tol.lobe_closed),
     ]
     outputs = [
         str(write_field_csv(marg_single, outdir / "marginal_single.csv")),
         str(write_field_csv(marg_pair, outdir / "marginal_pair.csv")),
     ]
 
-    if run_brute:
-        nb = _integer(cfg, "brute_points", 128, minimum=1)
-        bx = GridSpec.centered(grid_x.extent[0], nb)
-        by = GridSpec.centered(y_extent, nb)
+    if p.run_brute:
+        bx = GridSpec.centered(grid_x.extent[0], p.brute_points)
+        by = GridSpec.centered(p.y_extent, p.brute_points)
         bu = Potential.harmonic(bx, omega, m)
         bpairs = stationary_states(bu, 2, hbar, m)
         bpointer = gaussian_packet(by, pointer_width, center=pointer_center)
         brute = pointer_measurement_brute(
             [1 / np.sqrt(2), 1 / np.sqrt(2)], bpairs, bpointer, bu, coupling,
-            t_pair, dt=float(cfg.get("brute_dt", 2e-3)), hbar=hbar, m=m,
+            t_pair, dt=p.brute_dt, hbar=hbar, m=m,
         )
         bmarg = pointer_marginal(brute)
         bsplit = pointer_center + coupling * t_pair * (bpairs[0][0] + bpairs[1][0]) / 2
         b_below, b_above = lobe_masses(bmarg, bsplit)
         brute_dev = max(abs(b_below - 0.5), abs(b_above - 0.5))
         metrics["lobe_deviation_brute"] = brute_dev
-        criteria.append(
-            Criterion("lobe_deviation_brute", brute_dev,
-                      float(tol.get("lobe_brute", 2e-2)))
-        )
+        criteria.append(Criterion("lobe_deviation_brute", brute_dev, tol.lobe_brute))
         outputs.append(str(write_field_csv(bmarg, outdir / "marginal_brute.csv")))
 
     return metrics, criteria, outputs, 0
 
 
-def _scenario_conditional_pair(cfg: ExperimentConfig, outdir: Path):
-    hbar, m = cfg.constants()
-    grid1 = _grid_from_config(cfg, 16.0, 128)
+def _scenario_conditional_pair(p: SimpleNamespace, outdir: Path):
+    grid1, hbar, m, steps = p.grid, p.hbar, p.m, p.steps
     grid2 = joint_grid(grid1, grid1)
-    n_samples = _integer(cfg, "n_samples", 1000, minimum=1)
-    seed = _integer(cfg, "seed", 9)
-    omega = float(cfg.get("constants", {}).get("omega", 1.0))
-    steps = _integer(cfg, "steps", 400, minimum=1)
 
     a = gaussian_packet(grid1, 0.7, center=-2.5, momentum=0.8, hbar=hbar)
     b = gaussian_packet(grid1, 0.7, center=2.5, momentum=-0.4, hbar=hbar)
@@ -705,7 +566,7 @@ def _scenario_conditional_pair(cfg: ExperimentConfig, outdir: Path):
     # capped evaluations of the identity check (both routes), plus capped
     # trajectories of the three transports below
     guidance_events = NodeEvents()
-    ens = sample_equilibrium(entangled.psi.density(), n_samples, seed, hbar, m)
+    ens = sample_equilibrium(entangled.psi.density(), p.n_samples, p.seed, hbar, m)
     v_full = configuration_velocity(entangled).at(ens.positions, guidance_events)
     v_cond = np.stack([
         conditional_guiding_velocities(entangled, ens.positions, particle,
@@ -715,7 +576,7 @@ def _scenario_conditional_pair(cfg: ExperimentConfig, outdir: Path):
     worst = float(np.max(np.abs(v_cond - v_full)))
 
     # product state: pair transport reduces to independent 1D problems
-    u1 = Potential.harmonic(grid1, omega, m)
+    u1 = Potential.harmonic(grid1, p.omega, m)
     joint_pot = Potential.custom(
         ScalarField(grid2, u1.values[:, None] + u1.values[None, :])
     )
@@ -723,10 +584,10 @@ def _scenario_conditional_pair(cfg: ExperimentConfig, outdir: Path):
         WaveField(grid2, np.outer(a.values, b.values)).normalized(),
         hbar=hbar, m1=m, m2=m,
     )
-    period = 2 * np.pi / omega
+    period = 2 * np.pi / p.omega
     dt = period / steps
     timeline2 = OracleTimeline(product.psi, joint_pot, dt, hbar, m)
-    pair0 = ParticlePair(float(cfg.get("x1", -2.2)), float(cfg.get("x2", 2.8)))
+    pair0 = ParticlePair(p.x1, p.x2)
     pair_events = NodeEvents()
     moved = propagate_pair(product, timeline2, pair0, dt, steps, pair_events)
     tl_a = WaveTimeline.from_oracle(a, u1, dt, steps, hbar, m)
@@ -748,10 +609,9 @@ def _scenario_conditional_pair(cfg: ExperimentConfig, outdir: Path):
         "identity_max_error": worst,
         "product_pair_gap": pair_gap,
     }
-    tol = cfg.get("tolerances", {})
     criteria = [
-        Criterion("identity_max_error", worst, float(tol.get("identity", 1e-6))),
-        Criterion("product_pair_gap", pair_gap, float(tol.get("pair_gap", 1e-6))),
+        Criterion("identity_max_error", worst, p.tolerances.identity),
+        Criterion("product_pair_gap", pair_gap, p.tolerances.pair_gap),
     ]
     hist_rows = [
         [0, j * dt, moved.history[j, 0], moved.history[j, 1]]
@@ -776,31 +636,170 @@ SCENARIOS = {
     "conditional-pair": _scenario_conditional_pair,
 }
 
-_COMMON_KEYS = {"constants", "grid", "tolerances"}
-SCENARIO_KEYS = {
-    "oracle-evolve": {"kind", "dt", "steps", "t_end", "displacement", "width",
-                      "mode"},
-    "madelung-compare": {"dt", "width", "momentum", "snapshot_windows",
-                         "madelung_dt", "t_end"},
-    "twofluid-verify": {"width", "delta_t", "n_micro", "micro_substeps"},
-    "equivariance": {"steps", "seed", "n_trajectories", "bins", "checkpoints"},
-    "relaxation": {"steps", "seed", "n_trajectories", "cell_size", "checkpoints",
-                   "phase_seed", "start_half_width", "mode_index", "omega_y"},
-    "measurement": {"y_extent", "y_points", "pointer_width", "pointer_center",
-                    "single_mode", "duration_single", "duration_pair",
-                    "run_brute", "brute_points", "brute_dt"},
-    "conditional-pair": {"steps", "seed", "n_samples", "x1", "x2"},
+
+# ----------------------------------------------------------------------
+# config schema
+
+# Value kinds: "count" is an integer >= 1, "index" an integer >= 0,
+# "integer" any integer, "real" a finite number (not a bool or a string),
+# "positive" a finite number > 0, "flag" a JSON boolean, "indices" a
+# non-empty list of indices and "object" a JSON object; a tuple lists the
+# allowed strings. A key whose default is None may be left out.
+_INTEGER_MINIMUM = {"count": 1, "index": 0, "integer": None}
+
+# the constants object of every scenario; D defaults to hbar / 2m
+_CONSTANTS = {"hbar": ("positive", 1.0), "m": ("positive", 1.0), "D": ("positive", None),
+              "omega": ("positive", 1.0), "lambda": ("real", 1.0)}
+
+
+@dataclass(frozen=True)
+class Schema:
+    """What one scenario accepts: keys as key -> (kind, default), tolerances
+    as name -> default (reals), and the default grid (extent, points). Grid
+    extent, points and origin are one number or one per axis."""
+
+    keys: dict
+    tolerances: dict
+    grid: tuple
+
+
+SCHEMAS = {
+    "oracle-evolve": Schema(
+        keys={"kind": (("harmonic-coherent", "harmonic-ground", "free-gaussian",
+                        "plane-wave"), "harmonic-coherent"),
+              "dt": ("positive", 1e-3), "steps": ("count", 6283),
+              "t_end": ("positive", None),  # instead of steps: round(t_end / dt)
+              "displacement": ("real", 2.0), "width": ("positive", 1.0),
+              "mode": ("integer", 3)},
+        tolerances={"norm_drift": 1e-9, "energy_drift_rel": 1e-6}, grid=(24.0, 512)),
+    "madelung-compare": Schema(
+        keys={"dt": ("positive", 1e-3), "width": ("positive", 1.0),
+              "momentum": ("real", 2.0), "snapshot_windows": ("count", 5),
+              "madelung_dt": ("positive", 1e-4),
+              "t_end": ("positive", 0.5)},  # round(t_end / madelung_dt) steps
+        tolerances={"residual": 1e-3, "rho_l2": 1e-3}, grid=(24.0, 256)),
+    "twofluid-verify": Schema(
+        keys={"width": ("positive", 1.0), "delta_t": ("positive", 1e-4),
+              "n_micro": ("count", 16), "micro_substeps": ("count", 1)},
+        tolerances={"rel_err": 1e-3, "coeff_dev": 5e-3}, grid=(12.0, 512)),
+    "equivariance": Schema(
+        keys={"steps": ("count", 640), "seed": ("index", 42),
+              "n_trajectories": ("count", 100000), "bins": ("count", 64),
+              "checkpoints": ("count", 10)},  # must divide steps
+        tolerances={"l1": 0.03}, grid=(24.0, 512)),
+    "relaxation": Schema(
+        keys={"steps": ("count", 1200), "seed": ("index", 102),
+              "n_trajectories": ("count", 20000), "cell_size": ("count", 8),
+              "checkpoints": ("count", 10),  # must divide steps
+              "phase_seed": ("index", 2), "start_half_width": ("positive", 2.5),
+              "mode_index": ("indices", [2, 3, 5, 7]),
+              "omega_y": ("positive", None)},  # default: golden ratio x omega
+        tolerances={"decay": 0.5}, grid=((20.0, 20.0), (128, 128))),
+    "measurement": Schema(
+        keys={"y_extent": ("positive", 16.0), "y_points": ("count", 256),
+              "pointer_width": ("positive", 0.5), "pointer_center": ("real", -4.0),
+              "single_mode": ("index", 2), "duration_single": ("positive", 2.0),
+              "duration_pair": ("positive", 4.0), "run_brute": ("flag", True),
+              "brute_points": ("count", 128), "brute_dt": ("positive", 2e-3)},
+        # mean_err defaults to the pointer grid's spacing
+        tolerances={"mean_err": None, "lobe_closed": 1e-3, "lobe_brute": 2e-2},
+        grid=(24.0, 256)),
+    "conditional-pair": Schema(
+        keys={"steps": ("count", 400), "seed": ("index", 9),
+              "n_samples": ("count", 1000), "x1": ("real", -2.2), "x2": ("real", 2.8)},
+        tolerances={"identity": 1e-6, "pair_gap": 1e-6}, grid=(16.0, 128)),
 }
 
 
-def _validate_keys(cfg: ExperimentConfig):
-    allowed = _COMMON_KEYS | SCENARIO_KEYS[cfg.scenario]
-    unknown = set(cfg.params) - allowed
+def _check(key: str, kind, value):
+    """value as the kind says, or a ConfigError that names key."""
+    if isinstance(kind, tuple):
+        if value in kind:
+            return value
+        raise ConfigError(f"config key {key!r} must be one of {', '.join(kind)}, "
+                          f"got {value!r}")
+    if kind in ("object", "flag"):
+        if isinstance(value, dict if kind == "object" else bool):
+            return value
+        what = "a JSON object" if kind == "object" else "true or false"
+        raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    if kind == "indices":
+        if isinstance(value, (list, tuple)) and value:
+            return [_check(f"{key}[{i}]", "index", v) for i, v in enumerate(value)]
+        raise ConfigError(f"config key {key!r} must be a non-empty list of indices, "
+                          f"got {value!r}")
+    # int() would truncate 2.7 to 2 and read true as 1; 640.0 is an integer
+    integer = kind in _INTEGER_MINIMUM
+    if (isinstance(value, bool) or not isinstance(value, numbers.Real)
+            or not math.isfinite(value) or integer and value != int(value)):
+        what = "an integer" if integer else "a finite number"
+        raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
+    minimum = _INTEGER_MINIMUM.get(kind)
+    if minimum is not None and value < minimum:
+        raise ConfigError(f"config key {key!r} must be at least {minimum}, got {value!r}")
+    if kind == "positive" and value <= 0:
+        raise ConfigError(f"config key {key!r} must be positive, got {value!r}")
+    return int(value) if integer else float(value)
+
+
+def _filled(scenario: str, prefix: str, doc: dict, table: dict, axes=None) -> dict:
+    """doc checked against table (key -> (kind, default)), every default
+    filled in. With axes, a value is one number for every axis or a list of
+    one per axis, and comes back as a tuple."""
+    unknown = sorted(set(doc) - set(table))
     if unknown:
-        raise ConfigError(
-            f"unknown config key(s) for scenario {cfg.scenario!r}: "
-            f"{', '.join(sorted(unknown))}; allowed: {', '.join(sorted(allowed))}"
-        )
+        raise ConfigError(f"unknown config key(s) for scenario {scenario!r}: "
+                          f"{', '.join(prefix + k for k in unknown)}; "
+                          f"allowed: {', '.join(prefix + k for k in sorted(table))}")
+    out = {}
+    for key, (kind, default) in table.items():
+        name, value = prefix + key, doc.get(key, default)
+        if value is None and default is None:
+            out[key] = None
+        elif axes is None:
+            out[key] = _check(name, kind, value)
+        else:
+            per_axis = value if isinstance(value, (list, tuple)) else [value] * axes
+            if len(per_axis) != axes:
+                raise ConfigError(f"config key {name!r} must be one number or {axes}, "
+                                  f"got {value!r}")
+            out[key] = tuple(_check(name, kind, v) for v in per_axis)
+    return out
+
+
+def _validate_keys(cfg: ExperimentConfig) -> SimpleNamespace:
+    """The checked values of cfg with every default filled in: the scenario's
+    keys, the constants (D resolved), grid as a GridSpec and tolerances as a
+    namespace. A t_end becomes the step count steps, and checkpoints must
+    divide steps. Any bad key or value is a ConfigError that names it."""
+    schema = SCHEMAS[cfg.scenario]
+    objects = dict.fromkeys(("constants", "grid", "tolerances"), ("object", {}))
+    v = _filled(cfg.scenario, "", cfg.params, {**schema.keys, **objects})
+    c = _filled(cfg.scenario, "constants.", v.pop("constants"), _CONSTANTS)
+    if c["D"] is None:
+        c["D"] = c["hbar"] / (2.0 * c["m"])
+    extent, points = schema.grid
+    g = _filled(cfg.scenario, "grid.", v["grid"],
+                {"extent": ("positive", extent), "points": ("count", points),
+                 "origin": ("real", None)}, axes=np.size(points))
+    v["grid"] = (GridSpec.centered(g["extent"], g["points"]) if g["origin"] is None
+                 else GridSpec.regular(g["extent"], g["points"], g["origin"]))
+    v["tolerances"] = SimpleNamespace(**_filled(
+        cfg.scenario, "tolerances.", v["tolerances"],
+        {name: ("real", default) for name, default in schema.tolerances.items()}))
+    dt_key = {"oracle-evolve": "dt", "madelung-compare": "madelung_dt"}.get(cfg.scenario)
+    if dt_key and v["t_end"] is not None:
+        if "steps" in cfg.params:
+            raise ConfigError("config keys 't_end' and 'steps' exclude each other")
+        v["steps"] = round(v["t_end"] / v[dt_key])
+        if v["steps"] < 1:
+            raise ConfigError(f"config key 't_end' ({v['t_end']!r}) is under half a "
+                              f"step of {dt_key} ({v[dt_key]!r}): no step would run")
+    if "checkpoints" in v and v["steps"] % v["checkpoints"]:
+        raise ConfigError(f"config key 'checkpoints' ({v['checkpoints']}) must divide "
+                          f"steps ({v['steps']}); the last steps would go unchecked")
+    return SimpleNamespace(**v, **c)
+
 
 # sweep metric per scenario: the quantity whose convergence is studied
 SWEEP_METRICS = {
@@ -821,11 +820,11 @@ def _resolve_outdir(cfg: ExperimentConfig) -> Path:
 
 def run(cfg: ExperimentConfig, outdir=None) -> RunManifest:
     """Execute one scenario, write CSV artifacts plus run_manifest.json."""
-    _validate_keys(cfg)
+    values = _validate_keys(cfg)
     outdir = Path(outdir) if outdir is not None else _resolve_outdir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    metrics, criteria, outputs, capped = SCENARIOS[cfg.scenario](cfg, outdir)
+    metrics, criteria, outputs, capped = SCENARIOS[cfg.scenario](values, outdir)
     relative = [
         str(Path(p).relative_to(outdir)) if Path(p).is_absolute() else str(p)
         for p in outputs
@@ -874,16 +873,17 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list[float],
             f"sweep values must be positive and finite for the log-log fit, "
             f"got {bad!r}"
         )
-    if parameter in ("n_trajectories", "steps"):
-        values = [_as_integer(parameter, v) for v in values]
+    kind, _ = SCHEMAS[cfg.scenario].keys.get(parameter, ("real", None))
+    if kind in _INTEGER_MINIMUM:  # an integer key echoes as 20, not 20.0
+        values = [_check(parameter, kind, v) for v in values]
+    subs = [ExperimentConfig(cfg.scenario, {**cfg.params, parameter: v}) for v in values]
+    for sub in subs:  # every value is checked before the first run
+        _validate_keys(sub)
     outdir = Path(outdir) if outdir is not None else _resolve_outdir(cfg) / "sweep"
     outdir.mkdir(parents=True, exist_ok=True)
     metrics = []
     manifests = []
-    for i, value in enumerate(values):
-        params = dict(cfg.params)
-        params[parameter] = value
-        sub = ExperimentConfig(scenario=cfg.scenario, params=params)
+    for i, (value, sub) in enumerate(zip(values, subs)):
         manifest = run(sub, outdir / f"value_{i}")
         if metric_name not in manifest.metrics:
             raise ConfigError(

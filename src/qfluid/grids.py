@@ -56,7 +56,6 @@ class GridSpec:
     extent: tuple[float, ...]
     points: tuple[int, ...]
     origin: tuple[float, ...]
-    periodic: bool = True
 
     def __post_init__(self):
         if len(self.extent) not in (1, 2):
@@ -67,8 +66,6 @@ class GridSpec:
             raise GridError(f"need at least 8 points per axis, got {self.points}")
         if any(L <= 0 for L in self.extent):
             raise GridError(f"extent must be positive, got {self.extent}")
-        if not self.periodic:
-            raise GridError("only periodic grids are supported")
 
     @classmethod
     def regular(cls, extent, points, origin=0.0) -> "GridSpec":
@@ -207,10 +204,6 @@ class ScalarField:
         object.__setattr__(self, "values", _freeze(v))
 
     @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "ScalarField":
-        return cls(grid, fn(*grid.meshgrid()) if grid.dims == 2 else fn(grid.axis(0)))
-
-    @classmethod
     def full(cls, grid: GridSpec, value: float) -> "ScalarField":
         return cls(grid, np.full(grid.shape, float(value)))
 
@@ -220,9 +213,6 @@ class ScalarField:
         if total <= 0:
             raise GridError("cannot normalize a field with non-positive integral")
         return ScalarField(self.grid, self.values / total)
-
-    def is_density(self, tol: float = 1e-9) -> bool:
-        return bool(self.values.min() >= -tol and abs(integrate(self) - 1.0) <= tol)
 
 
 @dataclass(frozen=True)
@@ -250,9 +240,6 @@ class VectorField:
     def component(self, i: int) -> ScalarField:
         return ScalarField(self.grid, self.components[i])
 
-    def magnitude(self) -> ScalarField:
-        return ScalarField(self.grid, np.sqrt(sum(c * c for c in self.components)))
-
 
 @dataclass(frozen=True)
 class WaveField:
@@ -276,10 +263,6 @@ class WaveField:
         object.__setattr__(field, "values", values)
         return field
 
-    @classmethod
-    def from_function(cls, grid: GridSpec, fn) -> "WaveField":
-        return cls(grid, fn(*grid.meshgrid()) if grid.dims == 2 else fn(grid.axis(0)))
-
     def density(self) -> ScalarField:
         return ScalarField(self.grid, np.abs(self.values) ** 2)
 
@@ -295,11 +278,6 @@ class WaveField:
 
 
 Field = Union[ScalarField, VectorField, WaveField]
-
-
-def _require_same_grid(a: GridSpec, b: GridSpec):
-    if a != b:
-        raise GridMismatchError(f"grids differ: {a} vs {b}")
 
 
 def _nonzero_parts(values: np.ndarray) -> tuple[bool, bool]:

@@ -35,6 +35,7 @@ __all__ = [
     "evolve_with_snapshots",
     "stationary_states",
     "tensor_eigenstate",
+    "random_phase_superposition",
     "energy_expectation",
     "probability_current",
     "gaussian_packet",
@@ -259,6 +260,26 @@ def tensor_eigenstate(grid2d: GridSpec, pair_x: tuple[float, WaveField],
     ey, phiy = pair_y
     vals = np.outer(phix.values, phiy.values)
     return ex + ey, WaveField(grid2d, vals)
+
+
+def random_phase_superposition(grid2d: GridSpec, omega_x: float, omega_y: float,
+                               modes, phase_seed: int, hbar: float = 1.0,
+                               m: float = 1.0) -> tuple[WaveField, Potential]:
+    """Normalized equal-weight sum of the 2D trap's eigenstates (nx, ny), nx
+    and ny from modes, each with a random phase; and the trap's potential."""
+    ux = Potential.harmonic(grid2d.axis_line(0), omega_x, m)
+    uy = Potential.harmonic(grid2d.axis_line(1), omega_y, m)
+    px = stationary_states(ux, max(modes) + 1, hbar, m)
+    py = stationary_states(uy, max(modes) + 1, hbar, m)
+    rng = np.random.default_rng(phase_seed)
+    amp = 1.0 / len(modes)
+    vals = np.zeros(grid2d.shape, dtype=complex)
+    for nx in modes:
+        for ny in modes:
+            _, phi = tensor_eigenstate(grid2d, px[nx], py[ny])
+            vals += np.exp(1j * rng.uniform(0, 2 * np.pi)) * amp * phi.values
+    joint = Potential.custom(ScalarField(grid2d, ux.values[:, None] + uy.values[None, :]))
+    return WaveField(grid2d, vals).normalized(), joint
 
 
 # ----------------------------------------------------------------------

@@ -315,15 +315,57 @@ class TestCli:
                     [], 0)
 
         monkeypatch.setitem(experiments.SCENARIOS, "twofluid-verify", scenario)
-        path = tmp_path / "config.json"
-        path.write_text('{"scenario": "twofluid-verify", "width": Infinity, '
-                        f'"output_dir": "{tmp_path / "out"}"}}')
-        assert cli_main(["run", str(path)]) == 2
+        cfg = self.write_config(tmp_path, {"scenario": "twofluid-verify",
+                                           "output_dir": str(tmp_path / "out")})
+        assert cli_main(["run", cfg]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: run_manifest.json: non-finite value at ")
-        for key in ("config.width", "metrics.rel_err_vs_gradQ", "criteria[0].value"):
+        for key in ("metrics.rel_err_vs_gradQ", "criteria[0].value"):
             assert key in err
         assert not (tmp_path / "out" / "run_manifest.json").exists()
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"scenario": "twofluid-verify", "delta_t": -1e-4}, "delta_t"),
+        ({"scenario": "twofluid-verify", "width": "1.0"}, "width"),
+        ({"scenario": "twofluid-verify", "width": float("inf")}, "width"),
+        ({"scenario": "oracle-evolve", "dt": -1e-3}, "dt"),
+        ({"scenario": "madelung-compare", "t_end": -1}, "t_end"),
+        ({"scenario": "twofluid-verify", "tolerances": {"rel_error": 1e-30}}, "rel_error"),
+        ({"scenario": "twofluid-verify", "tolerances": {"rel_err": "abc"}}, "rel_err"),
+        ({"scenario": "twofluid-verify", "constants": {"mass": 2}}, "mass"),
+        ({"scenario": "twofluid-verify", "grid": {"pointz": 64}}, "pointz"),
+        ({"scenario": "relaxation", "mode_index": [2, 3, "x"]}, "mode_index"),
+        ({"scenario": "equivariance", "n_trajectories": 100, "steps": 14,
+          "checkpoints": 4}, "checkpoints"),
+        ({"scenario": "oracle-evolve", "t_end": 1.0, "steps": 100}, "t_end"),
+        ({"scenario": "madelung-compare", "t_end": 4e-5}, "t_end"),
+    ], ids=["negative-delta_t", "string-width", "infinite-width", "negative-dt",
+            "negative-t_end", "unknown-tolerance", "string-tolerance",
+            "unknown-constant", "unknown-grid-key", "string-mode-index",
+            "checkpoints-not-dividing-steps", "t_end-and-steps", "t_end-under-a-step"])
+    def test_value_the_scenario_would_run_through_exit_two(self, tmp_path, capsys,
+                                                           doc, key):
+        # each of these used to run to a manifest; most passed their criteria
+        err = self.assert_config_error(tmp_path, capsys, doc)
+        assert key in err
+        assert not (tmp_path / "out").exists()
+
+    def test_number_too_large_for_a_float_exit_two(self, tmp_path, capsys):
+        err = self.assert_config_error(tmp_path, capsys, {
+            "scenario": "twofluid-verify", "width": 10 ** 400})
+        assert "OverflowError" in err
+
+    def test_sweep_fractional_bins_exit_two_before_any_run(self, tmp_path, capsys):
+        out_dir = tmp_path / "runs"
+        cfg = self.write_config(tmp_path, {
+            "scenario": "equivariance", "n_trajectories": 100, "steps": 20,
+            "checkpoints": 1, "output_dir": str(out_dir)})
+        assert cli_main(["sweep", cfg, "--param", "bins",
+                         "--values", "20,30.5,40"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1, err
+        assert "'bins' must be an integer" in err
+        assert not (out_dir / "sweep" / "value_0").exists()
 
 
 def test_conditional_pair_reports_its_capping(tmp_path):
