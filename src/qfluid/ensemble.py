@@ -25,6 +25,9 @@ diagnostic.
 from __future__ import annotations
 
 import math
+import os
+import signal
+import threading
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -560,18 +563,50 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
     more than 0.1% of trajectories ever do are marked degraded and should be
     excluded from acceptance statistics. t_start defaults to the timeline
     origin; pass a later lattice time to continue a previous propagation.
+
+    Over a stored WaveTimeline and without a history, an ensemble of at
+    least two blocks per CPU of the affinity mask is transported in forked
+    processes, one contiguous share of whole blocks per CPU
+    (_forked_transport), bit-identical to the serial loop. Over a streaming
+    timeline every process would repeat each split step, so it stays serial.
     """
     if timeline.grid != ens.grid:
         raise GridMismatchError("ensemble and timeline grids differ")
     if abs(timeline.half_dt * 2.0 - dt) > 1e-12 * dt:
         raise ConfigError("timeline half-step must equal dt/2")
-    grid = ens.grid
     x = np.array(ens.positions, dtype=float)
     events = _TrajectoryEvents(ever_capped=np.zeros(ens.size, dtype=bool))
     history = [x.copy()] if record_history else None
     t = timeline.t0 if t_start is None else t_start
     blocks = [slice(lo, lo + _BLOCK) for lo in range(0, ens.size, _BLOCK)]
+    shares = _shares(ens.size) if isinstance(timeline, WaveTimeline) else 1
+    if history is None and shares > 1:
+        _forked_transport(x, ens.positions, blocks, shares, timeline, dt, steps, t,
+                          events)
+    else:
+        _rk4(x, blocks, timeline, dt, steps, t, events, history)
 
+    capped_count = int(events.ever_capped.sum())
+    out = replace(
+        ens,
+        positions=x,
+        history=np.array(history) if record_history else None,
+    )
+    return PropagationResult(
+        ensemble=out,
+        events=NodeEvents(events.evaluations, events.capped),
+        capped_trajectories=capped_count,
+        degraded=capped_count > DEGRADED_CAP_FRACTION * ens.size,
+    )
+
+
+def _rk4(x: np.ndarray, blocks: list[slice], timeline, dt: float, steps: int, t: float,
+         events: _TrajectoryEvents, history: list | None = None):
+    """The serial block loop: `steps` RK4 steps from time t of the
+    trajectories in blocks of x, in place, counting into events (whose
+    ever_capped is indexed like x) and appending a copy of x to history
+    after each step."""
+    grid = timeline.grid
     for n in range(steps):
         v0 = timeline.velocity(t)
         vh = timeline.velocity(t + dt / 2.0)
@@ -586,21 +621,101 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
             x[block] = _shift_in(xb + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4), grid,
                                  exact=True)
         t += dt
-        if record_history:
+        if history is not None:
             history.append(x.copy())
 
-    capped_count = int(events.ever_capped.sum())
-    out = replace(
-        ens,
-        positions=x,
-        history=np.array(history) if record_history else None,
-    )
-    return PropagationResult(
-        ensemble=out,
-        events=NodeEvents(events.evaluations, events.capped),
-        capped_trajectories=capped_count,
-        degraded=capped_count > DEGRADED_CAP_FRACTION * ens.size,
-    )
+
+def _shares(n: int) -> int:
+    """How many processes transport n trajectories: one per CPU of the
+    affinity mask, each with at least two whole blocks; one without fork, or
+    while another Python thread runs (it could hold a lock a worker needs)."""
+    if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
+            and threading.active_count() == 1):
+        return 1
+    return max(1, min(len(os.sched_getaffinity(0)), n // (2 * _BLOCK)))
+
+
+def _forked_transport(x: np.ndarray, initial: np.ndarray, blocks: list[slice],
+                      shares: int, timeline, dt: float, steps: int, t: float,
+                      events: _TrajectoryEvents):
+    """_rk4 over all blocks of x, one contiguous share of blocks per process.
+
+    The parent forks one worker per share after the first and runs the
+    first share itself. Each worker sends its two event counts, positions
+    and ever-capped flags through a pipe, which the parent reads straight
+    into x and events before it reaps the worker, so no page is added to
+    the parent's memory, as a shared result buffer would. A worker leaves
+    by os._exit, so no atexit handler runs and no stdio buffer is flushed
+    twice. Its own report of failure is never
+    trusted: the parent reruns every share whose worker could not be
+    forked, sent less or exited non-zero, in one serial loop from the
+    initial positions, so the caller sees the serial loop's result or
+    exception. An exception in the parent's own share propagates. No
+    worker outlives the call on any path.
+    """
+    # workers pay the fork's copy-on-write faults and build their velocity
+    # fields again, so an uneven split leaves the extra block to the parent
+    cut = [-(-len(blocks) * i // shares) for i in range(shares + 1)]
+    parts = [blocks[a:b] for a, b in zip(cut[:-1], cut[1:])]
+    spans = [slice(part[0].start, part[-1].stop) for part in parts]
+    counts = np.zeros(2, dtype=np.int64)
+    pids, pipes, failed = {}, {}, []  # pid -> share; share -> read end
+    try:
+        # signals wait until each fork is recorded, so that none can leave a
+        # worker unrecorded or run a worker on into the caller's code
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        try:
+            for j in range(1, shares):
+                fds = ()
+                try:
+                    fds = os.pipe()
+                    pid = os.fork()
+                except OSError:  # out of descriptors or processes
+                    for fd in fds:
+                        os.close(fd)
+                    failed += parts[j]
+                    continue
+                if pid == 0:
+                    code = 1
+                    try:
+                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                        own = _TrajectoryEvents(ever_capped=events.ever_capped)
+                        _rk4(x, parts[j], timeline, dt, steps, t, own)
+                        counts[:] = own.evaluations, own.capped
+                        with open(fds[1], "wb") as pipe:
+                            for part in (counts, x[spans[j]], own.ever_capped[spans[j]]):
+                                pipe.write(part)
+                        code = 0
+                    finally:
+                        os._exit(code)
+                os.close(fds[1])
+                pipes[j] = open(fds[0], "rb")
+                pids[pid] = j
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        _rk4(x, parts[0], timeline, dt, steps, t, events)
+        for pid, j in list(pids.items()):
+            into = (counts, x[spans[j]], events.ever_capped[spans[j]])
+            sent = [pipes[j].readinto(part) for part in into]
+            _, status = os.waitpid(pid, 0)
+            del pids[pid]
+            if status != 0 or sent != [part.nbytes for part in into]:
+                failed += parts[j]
+                continue
+            events.evaluations += int(counts[0])
+            events.capped += int(counts[1])
+        if failed:
+            failed.sort(key=lambda block: block.start)
+            for block in failed:
+                x[block] = initial[block]
+                events.ever_capped[block] = False
+            _rk4(x, failed, timeline, dt, steps, t, events)
+    finally:
+        for pipe in pipes.values():
+            pipe.close()
+        for pid in pids:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def sample_equilibrium(rho: ScalarField, n: int, seed: int,

@@ -640,12 +640,13 @@ SCENARIOS = {
 # ----------------------------------------------------------------------
 # config schema
 
-# Value kinds: "count" is an integer >= 1, "index" an integer >= 0,
-# "integer" any integer, "real" a finite number (not a bool or a string),
-# "positive" a finite number > 0, "flag" a JSON boolean, "indices" a
-# non-empty list of indices and "object" a JSON object; a tuple lists the
-# allowed strings. A key whose default is None may be left out.
-_INTEGER_MINIMUM = {"count": 1, "index": 0, "integer": None}
+# Value kinds: "count" is an integer >= 1, "index" an integer >= 0, "points"
+# an integer >= 8, "integer" any integer, "real" a finite number (not a bool
+# or a string), "positive" a finite number > 0, "flag" a JSON boolean,
+# "indices" a non-empty list of indices and "object" a JSON object; a tuple
+# lists the allowed strings. A key whose default is None may be left out.
+_INTEGER_MINIMUM = {"count": 1, "index": 0, "points": 8, "integer": None}
+_FLOAT_MAX = float(np.finfo(float).max)
 
 # the constants object of every scenario; D defaults to hbar / 2m
 _CONSTANTS = {"hbar": ("positive", 1.0), "m": ("positive", 1.0), "D": ("positive", None),
@@ -696,11 +697,11 @@ SCHEMAS = {
               "omega_y": ("positive", None)},  # default: golden ratio x omega
         tolerances={"decay": 0.5}, grid=((20.0, 20.0), (128, 128))),
     "measurement": Schema(
-        keys={"y_extent": ("positive", 16.0), "y_points": ("count", 256),
+        keys={"y_extent": ("positive", 16.0), "y_points": ("points", 256),
               "pointer_width": ("positive", 0.5), "pointer_center": ("real", -4.0),
               "single_mode": ("index", 2), "duration_single": ("positive", 2.0),
               "duration_pair": ("positive", 4.0), "run_brute": ("flag", True),
-              "brute_points": ("count", 128), "brute_dt": ("positive", 2e-3)},
+              "brute_points": ("points", 128), "brute_dt": ("positive", 2e-3)},
         # mean_err defaults to the pointer grid's spacing
         tolerances={"mean_err": None, "lobe_closed": 1e-3, "lobe_brute": 2e-2},
         grid=(24.0, 256)),
@@ -728,10 +729,11 @@ def _check(key: str, kind, value):
             return [_check(f"{key}[{i}]", "index", v) for i, v in enumerate(value)]
         raise ConfigError(f"config key {key!r} must be a non-empty list of indices, "
                           f"got {value!r}")
-    # int() would truncate 2.7 to 2 and read true as 1; 640.0 is an integer
+    # int() would truncate 2.7 to 2 and read true as 1; 640.0 is an integer;
+    # an integer past the largest float would make isfinite raise
     integer = kind in _INTEGER_MINIMUM
     if (isinstance(value, bool) or not isinstance(value, numbers.Real)
-            or not math.isfinite(value) or integer and value != int(value)):
+            or not abs(value) <= _FLOAT_MAX or integer and value != int(value)):
         what = "an integer" if integer else "a finite number"
         raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
     minimum = _INTEGER_MINIMUM.get(kind)
@@ -780,7 +782,7 @@ def _validate_keys(cfg: ExperimentConfig) -> SimpleNamespace:
         c["D"] = c["hbar"] / (2.0 * c["m"])
     extent, points = schema.grid
     g = _filled(cfg.scenario, "grid.", v["grid"],
-                {"extent": ("positive", extent), "points": ("count", points),
+                {"extent": ("positive", extent), "points": ("points", points),
                  "origin": ("real", None)}, axes=np.size(points))
     v["grid"] = (GridSpec.centered(g["extent"], g["points"]) if g["origin"] is None
                  else GridSpec.regular(g["extent"], g["points"], g["origin"]))

@@ -135,9 +135,13 @@ def pointer_measurement_brute(coeffs, eigenpairs, pointer: WaveField,
     full_b = np.exp(-1j * u * factor * dt / hbar)
     full_a = np.exp(-1j * kinetic_x * factor * dt / hbar)
     phi = half_b * np.fft.fft(psi, axis=1).T
+    # every step runs in phi; complex products round by operand order, and
+    # phi * full_a is the order numpy's temporary elision gave `full_a * fft`
     for step in range(1, steps + 1):
-        phi = np.fft.ifft(full_a * np.fft.fft(phi, axis=1), axis=1)
-        phi = (half_b if step == steps else full_b) * phi
+        np.fft.fft(phi, axis=1, out=phi)
+        np.multiply(phi, full_a, out=phi)
+        np.fft.ifft(phi, axis=1, out=phi)
+        np.multiply(half_b if step == steps else full_b, phi, out=phi)
     return WaveField(grid2, np.fft.ifft(np.ascontiguousarray(phi.T), axis=1))
 
 

@@ -147,15 +147,18 @@ def split_step_evolve(state: PropagatorState, potential: Potential,
     src = state.psi.values
     psi = np.empty_like(src) if steps > 0 else src
     cellvol = state.psi.grid.cell_volume
+    # the same transform; fft skips fftn's axes handling on 1D grids
+    fft, ifft = ((np.fft.fft, np.fft.ifft) if src.ndim == 1
+                 else (np.fft.fftn, np.fft.ifftn))
     for _ in range(steps):
         np.multiply(half_v, src, out=psi)
         src = psi
-        np.fft.fftn(psi, out=psi)
+        fft(psi, out=psi)
         # complex products round by operand order: numpy ran `kin * fftn(psi)`
         # as fft *= kin on arrays of 256 KB and up (128^2), eliding the
         # temporary, and as kin * fft below; so 2D keeps its bits, 1D moves
         np.multiply(psi, kin, out=psi)
-        np.fft.ifftn(psi, out=psi)
+        ifft(psi, out=psi)
         np.multiply(half_v, psi, out=psi)
         norm = np.sqrt(np.vdot(psi, psi).real * cellvol)
         if abs(norm - 1.0) > NORM_DRIFT_ABORT:
@@ -228,15 +231,26 @@ def stationary_states(potential: Potential, count: int, hbar: float = 1.0,
     Second-order periodic finite-difference kinetic term plus the diagonal
     potential; eigenfunctions are real, orthonormal with the grid measure,
     and sign-fixed so the largest-magnitude sample is positive.
+
+    That sign is not tie-proof: in a parity-symmetric potential the two
+    largest |phi| samples of every odd eigenstate are a mirror pair, equal
+    to about 1e-15, so which of them counts as largest (and so the sign)
+    is settled by the rounding of the LAPACK routine. Another solver
+    (numpy.linalg.eigh) flips some odd modes, and with them every result
+    built from a superposition of these states.
     """
     grid = potential.grid
     if count < 1 or count > grid.points[0]:
         raise ConfigError(f"count must be in [1, {grid.points[0]}]")
-    ham = _fd_hamiltonian(potential, hbar, m)
+    # the transpose of the symmetric matrix is the Fortran-ordered copy eigh
+    # would make, so LAPACK works in place on the same values (a dense copy
+    # less at the memory peak of a pass); the residuals read a rebuilt one
     try:
-        energies, vectors = scipy.linalg.eigh(ham)
+        energies, vectors = scipy.linalg.eigh(
+            _fd_hamiltonian(potential, hbar, m).T, overwrite_a=True)
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
+    ham = _fd_hamiltonian(potential, hbar, m)
     h = grid.spacing[0]
     pairs = []
     for k in range(count):

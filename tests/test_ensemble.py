@@ -1,5 +1,7 @@
 """Guided-ensemble transport, equilibrium sampling and relaxation metrics."""
 
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -780,3 +782,103 @@ def test_step_wrap_leaves_in_domain_points_untouched():
     assert np.array_equal(out[:200], inside)
     assert np.all((out >= -12.0) & (out < 12.0))
     assert out[200:] == pytest.approx([-7.7, -13.9 + 24.0], abs=1e-12)
+
+
+def _forked_case(dims):
+    """Four blocks on a small stored timeline with a node, some trajectories
+    started on the node line so that evaluations get capped."""
+    dt, steps = 0.05, 3
+    if dims == 1:
+        grid = GridSpec.centered(24.0, 64)
+        x = grid.axis(0)
+        psi = WaveField(grid, x * np.exp(-x**2 / 2 + 0.5j * x)).normalized()
+        timeline = WaveTimeline.from_oracle(psi, Potential.harmonic(grid, 1.0), dt, steps)
+    else:
+        timeline = _node_timeline(2, dt, steps)
+        grid = timeline.grid
+    rng = np.random.default_rng(dims)
+    lo = np.array(grid.origin)
+    positions = rng.uniform(lo, lo + np.array(grid.extent), size=(4 * B, dims))
+    positions[::997, 0] = 0.0
+    if dims == 1:
+        positions = positions[:, 0]
+    return TrajectoryEnsemble(grid=grid, positions=positions, seed=0), timeline, dt, steps
+
+
+def _on_cpus(monkeypatch, cpus):
+    """Pretend the affinity mask holds `cpus` CPUs; count the forks."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks
+
+
+def _outcome(res):
+    return (res.ensemble.positions.tobytes(), res.events, res.capped_trajectories,
+            res.degraded)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("dims", [1, 2])
+def test_forked_transport_is_bit_identical_to_serial(monkeypatch, dims):
+    ens, timeline, dt, steps = _forked_case(dims)
+    forks = _on_cpus(monkeypatch, 1)
+    serial = propagate_ensemble(ens, timeline, dt, steps, record_history=False)
+    assert not forks
+    assert serial.capped_trajectories > 0
+    forks = _on_cpus(monkeypatch, 2)
+    forked = propagate_ensemble(ens, timeline, dt, steps, record_history=False)
+    assert len(forks) == 1
+    assert _outcome(forked) == _outcome(serial)
+    # a history is recorded in the serial loop, with the same positions
+    with_history = propagate_ensemble(ens, timeline, dt, steps)
+    assert len(forks) == 1
+    assert _outcome(with_history) == _outcome(serial)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+class _WorkerFails(WaveTimeline):
+    """A stored timeline whose lookups raise in every process but its maker."""
+
+    def velocity(self, t):
+        if os.getpid() != self.maker:
+            raise RuntimeError("worker-only failure")
+        return super().velocity(t)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_failed_worker_share_is_rerun_by_the_parent(monkeypatch):
+    ens, timeline, dt, steps = _forked_case(1)
+    _on_cpus(monkeypatch, 1)
+    serial = propagate_ensemble(ens, timeline, dt, steps, record_history=False)
+    failing = _WorkerFails(timeline.t0, timeline.half_dt, timeline.fields)
+    failing.maker = os.getpid()
+    forks = _on_cpus(monkeypatch, 2)
+    rerun = propagate_ensemble(ens, failing, dt, steps, record_history=False)
+    assert len(forks) == 1
+    assert _outcome(rerun) == _outcome(serial)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_transport_past_the_timeline_raises_and_leaves_no_child(monkeypatch):
+    ens, timeline, dt, steps = _forked_case(1)
+    _on_cpus(monkeypatch, 1)
+    with pytest.raises(ConfigError) as serial:
+        propagate_ensemble(ens, timeline, dt, steps + 1, record_history=False)
+    forks = _on_cpus(monkeypatch, 2)
+    with pytest.raises(ConfigError) as forked:
+        propagate_ensemble(ens, timeline, dt, steps + 1, record_history=False)
+    assert len(forks) == 1
+    assert str(forked.value) == str(serial.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -351,9 +351,26 @@ class TestCli:
         assert not (tmp_path / "out").exists()
 
     def test_number_too_large_for_a_float_exit_two(self, tmp_path, capsys):
-        err = self.assert_config_error(tmp_path, capsys, {
-            "scenario": "twofluid-verify", "width": 10 ** 400})
-        assert "OverflowError" in err
+        # used to exit with "error: OverflowError: int too large to convert
+        # to float", naming no key
+        for scenario in ("twofluid-verify", "oracle-evolve"):
+            err = self.assert_config_error(tmp_path, capsys, {
+                "scenario": scenario, "width": 10 ** 400})
+            assert "config key 'width' must be a finite number" in err
+            assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"scenario": "relaxation", "grid": {"points": [128, 4]}}, "grid.points"),
+        ({"scenario": "oracle-evolve", "grid": {"points": 7}}, "grid.points"),
+        ({"scenario": "measurement", "y_points": 4}, "y_points"),
+        ({"scenario": "measurement", "brute_points": 6}, "brute_points"),
+    ])
+    def test_grid_under_eight_points_per_axis_exit_two(self, tmp_path, capsys, doc, key):
+        # GridSpec's own message ("need at least 8 points per axis") named
+        # no key
+        err = self.assert_config_error(tmp_path, capsys, doc)
+        assert f"config key {key!r} must be at least 8" in err
+        assert not (tmp_path / "out").exists()
 
     def test_sweep_fractional_bins_exit_two_before_any_run(self, tmp_path, capsys):
         out_dir = tmp_path / "runs"
