@@ -16,7 +16,7 @@ from qfluid.oracle import periodic_gaussian_density
 from qfluid.twofluid import (
     TwoFluidConfig,
     averaged_acceleration,
-    osmotic_force_reference,
+    micro_acceleration,
     reaction_force,
 )
 
@@ -44,7 +44,7 @@ gap = np.linalg.norm(force.approx.components[0] + grad_q_over_m)
 print(f"  || P + grad(Q)/m ||  = {gap:.3e}  (absolute)")
 
 print("\nfitted coefficient between <du/dt> and -grad(lap sqrt(rho)/sqrt(rho)):")
-basis = osmotic_force_reference(rho, 1.0).components[0] / 2.0
+basis = micro_acceleration(rho, 1.0).components[0] / 2.0
 print(f"{'D':>6} {'fitted':>12} {'2 D^2':>8} {'rel dev':>10}")
 for diffusion in (0.25, 0.5, 1.0):
     cfg = TwoFluidConfig.make(delta_t=1e-4, N_micro=16, D=diffusion)

@@ -74,12 +74,7 @@ def main(argv=None) -> int:
 
         if args.command == "report":
             summary = report(args.directory)
-            print(f"runs: {summary.total}  passed: {summary.passed}")
-            for failure in summary.failures:
-                print(f"FAIL {failure}")
-            for err in summary.integrity_errors:
-                print(f"INTEGRITY {err}")
-            print("overall: " + ("PASS" if summary.ok else "FAIL"))
+            print("\n".join(summary.lines()))
             return EXIT_PASS if summary.ok else EXIT_FAIL
     except (QFluidError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -194,8 +194,7 @@ def conditional_guiding_velocity(state: ConfigWaveField, pair: ParticlePair,
 
 def configuration_velocity(state: ConfigWaveField) -> VelocityField:
     """Full configuration-space guiding velocity, one component per particle."""
-    return VelocityField(state.psi, hbar=state.hbar, m=state.m1,
-                         masses=state.masses)
+    return VelocityField(state.psi, hbar=state.hbar, masses=state.masses)
 
 
 def propagate_pair(state0: ConfigWaveField, timeline, pair: ParticlePair,
@@ -206,13 +205,7 @@ def propagate_pair(state0: ConfigWaveField, timeline, pair: ParticlePair,
     events, when given, counts the transport's velocity evaluations and
     the capped ones among them.
     """
-    ens = TrajectoryEnsemble(
-        grid=state0.grid,
-        positions=pair.positions[None, :],
-        seed=0,
-        hbar=state0.hbar,
-        m=state0.m1,
-    )
+    ens = TrajectoryEnsemble(grid=state0.grid, positions=pair.positions[None, :], seed=0)
     res = propagate_ensemble(ens, timeline, dt, steps, record_history=True)
     if events is not None:
         events.evaluations += res.events.evaluations

@@ -72,8 +72,6 @@ class TrajectoryEnsemble:
     grid: GridSpec
     positions: np.ndarray
     seed: int
-    hbar: float = 1.0
-    m: float = 1.0
     history: np.ndarray | None = None
 
     def __post_init__(self):
@@ -240,12 +238,10 @@ class VelocityField:
     """
 
     def __init__(self, psi: WaveField, hbar: float = 1.0, m: float = 1.0,
-                 floor_fraction: float = NODE_FLOOR_FRACTION,
                  masses: tuple[float, ...] | None = None):
         grid = psi.grid
         self.grid = grid
         self.hbar = hbar
-        self.m = m
         self.masses = masses if masses is not None else (m,) * grid.dims
         self.v_max = tuple(
             hbar * np.pi / (mi * h)
@@ -269,7 +265,7 @@ class VelocityField:
         # then raises before any transform, which would warn on an inf
         if not math.isfinite(peak):
             _check_finite(values, "velocity field input")
-        self.rho_floor = floor_fraction * peak
+        self.rho_floor = NODE_FLOOR_FRACTION * peak
         if grid.dims == 1:
             self._tables = self._cell_table(values, peak)
         else:
@@ -718,8 +714,7 @@ def _forked_transport(x: np.ndarray, initial: np.ndarray, blocks: list[slice],
             os.waitpid(pid, 0)
 
 
-def sample_equilibrium(rho: ScalarField, n: int, seed: int,
-                       hbar: float = 1.0, m: float = 1.0) -> TrajectoryEnsemble:
+def sample_equilibrium(rho: ScalarField, n: int, seed: int) -> TrajectoryEnsemble:
     """Draw n positions distributed as the (normalized) density rho.
 
     1D uses the inverse of the piecewise-linear CDF built on cell edges,
@@ -754,8 +749,7 @@ def sample_equilibrium(rho: ScalarField, n: int, seed: int,
             ],
             axis=-1,
         )
-    return TrajectoryEnsemble(grid=grid, positions=positions, seed=seed,
-                              hbar=hbar, m=m)
+    return TrajectoryEnsemble(grid=grid, positions=positions, seed=seed)
 
 
 def ks_statistic(positions: np.ndarray, rho: ScalarField) -> float:
@@ -884,13 +878,17 @@ def coarse_grained_H(ens: TrajectoryEnsemble, psi: WaveField,
     under occupied particles are guarded with a tiny floor instead of
     returning infinity.
     """
-    if cell_size < 4:
-        raise ConfigError("coarse-graining cells must span at least 4 spacings")
     grid = ens.grid
-    bins = tuple(n // cell_size for n in grid.points)
+    bins = _coarse_bins(grid, cell_size)
     hist = HistogramGrid.from_positions(grid, ens.positions, bins)
     return _relative_entropy(hist.density, _bin_average(psi.density().values, grid, bins),
                              hist.bin_volume)
+
+
+def _coarse_bins(grid: GridSpec, cell_size: int) -> tuple[int, ...]:
+    if cell_size < 4:
+        raise ConfigError("coarse-graining cells must span at least 4 spacings")
+    return tuple(n // cell_size for n in grid.points)
 
 
 def _relative_entropy(p_bar: np.ndarray, rho_bar: np.ndarray, bin_volume: float) -> float:
@@ -904,25 +902,22 @@ def bootstrap_coarse_H(ens: TrajectoryEnsemble, psi: WaveField,
                        seed: int = 0) -> tuple[float, float, float]:
     """H estimate with a bootstrap 95% band (resampling trajectories).
 
-    Each trajectory's bin is assigned once; a resample then only redraws
-    the trajectory indices and counts their bins, which gives the same
-    histogram density as re-binning the resampled positions, on flat bins
-    in the same order.
+    Each trajectory's bin is assigned once; the estimate and every resample
+    then only count bins (a resample of redrawn trajectory indices), which
+    gives the same histogram density as binning the positions, on flat bins
+    in the same order: the estimate equals coarse_grained_H bit for bit.
     """
-    h_value = coarse_grained_H(ens, psi, cell_size)
     grid = ens.grid
-    bins = tuple(n // cell_size for n in grid.points)
+    bins = _coarse_bins(grid, cell_size)
     rho_bar = _bin_average(psi.density().values, grid, bins).ravel()
     bin_volume = _bin_volume(grid, bins)
     flat = _bin_index(grid, ens.positions, bins)
-    size = rho_bar.size
+
+    def entropy(bin_of):
+        counts = np.bincount(bin_of, minlength=rho_bar.size + 1)[:rho_bar.size]
+        return _relative_entropy(counts / (counts.sum() * bin_volume), rho_bar, bin_volume)
+
     rng = np.random.default_rng(seed)
-    n = ens.size
-    samples = np.empty(n_boot)
-    for b in range(n_boot):
-        idx = rng.integers(0, n, size=n)
-        counts = np.bincount(flat[idx], minlength=size + 1)[:size]
-        samples[b] = _relative_entropy(counts / (counts.sum() * bin_volume), rho_bar,
-                                       bin_volume)
+    samples = [entropy(flat[rng.integers(0, ens.size, size=ens.size)]) for _ in range(n_boot)]
     lo, hi = np.percentile(samples, [2.5, 97.5])
-    return h_value, float(lo), float(hi)
+    return entropy(flat), float(lo), float(hi)

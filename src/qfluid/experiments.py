@@ -43,7 +43,7 @@ from .madelung import (
     quantum_potential,
     residuals_from_snapshots,
 )
-from .twofluid import TwoFluidConfig, averaged_acceleration, osmotic_force_reference, reaction_force
+from .twofluid import TwoFluidConfig, averaged_acceleration, micro_acceleration, reaction_force
 from .ensemble import (
     NodeEvents,
     OracleTimeline,
@@ -341,7 +341,7 @@ def _scenario_twofluid_verify(p: SimpleNamespace, outdir: Path):
     reaction_err = _rel_l2(force.approx.components[0], -grad_q_over_m)
 
     # fit basis: -grad(lap(sqrt(rho))/sqrt(rho)), i.e. the unit-D reference over 2
-    basis = osmotic_force_reference(rho, 1.0).components[0] / 2.0
+    basis = micro_acceleration(rho, 1.0).components[0] / 2.0
     c_fit = float(np.dot(acc.components[0], basis) / np.dot(basis, basis))
     coeff_dev = abs(c_fit - 2 * D * D) / (2 * D * D)
 
@@ -379,7 +379,7 @@ def _scenario_equivariance(p: SimpleNamespace, outdir: Path):
     period = 2 * np.pi / p.omega
     dt = period / steps
     timeline = WaveTimeline.from_oracle(psi0, potential, dt, steps, hbar, m)
-    ens = sample_equilibrium(psi0.density(), n_traj, seed, hbar, m)
+    ens = sample_equilibrium(psi0.density(), n_traj, seed)
 
     # propagate checkpoint to checkpoint; keeping the full history of 1e5
     # trajectories would cost half a gigabyte for nothing
@@ -415,8 +415,7 @@ def _scenario_equivariance(p: SimpleNamespace, outdir: Path):
     # trajectories are mutually independent, so replaying a small sample
     # with history reproduces the corresponding members bit for bit
     n_sample = min(100, n_traj)
-    sample_ens = TrajectoryEnsemble(grid=grid, positions=ens.positions[:n_sample],
-                                    seed=seed, hbar=hbar, m=m)
+    sample_ens = TrajectoryEnsemble(grid=grid, positions=ens.positions[:n_sample], seed=seed)
     sample = propagate_ensemble(sample_ens, timeline, dt, steps).ensemble.history
     traj_rows = []
     for tid in range(n_sample):
@@ -442,8 +441,7 @@ def _scenario_relaxation(p: SimpleNamespace, outdir: Path):
     rng_pos = np.random.default_rng(p.seed)
     positions = rng_pos.uniform(-p.start_half_width, p.start_half_width,
                                 (p.n_trajectories, 2))
-    ens = TrajectoryEnsemble(grid=grid, positions=positions, seed=p.seed,
-                             hbar=hbar, m=m)
+    ens = TrajectoryEnsemble(grid=grid, positions=positions, seed=p.seed)
     timeline = OracleTimeline(psi0, joint, dt, hbar, m)
 
     rows = []
@@ -566,7 +564,7 @@ def _scenario_conditional_pair(p: SimpleNamespace, outdir: Path):
     # capped evaluations of the identity check (both routes), plus capped
     # trajectories of the three transports below
     guidance_events = NodeEvents()
-    ens = sample_equilibrium(entangled.psi.density(), p.n_samples, p.seed, hbar, m)
+    ens = sample_equilibrium(entangled.psi.density(), p.n_samples, p.seed)
     v_full = configuration_velocity(entangled).at(ens.positions, guidance_events)
     v_cond = np.stack([
         conditional_guiding_velocities(entangled, ens.positions, particle,
@@ -577,9 +575,7 @@ def _scenario_conditional_pair(p: SimpleNamespace, outdir: Path):
 
     # product state: pair transport reduces to independent 1D problems
     u1 = Potential.harmonic(grid1, p.omega, m)
-    joint_pot = Potential.custom(
-        ScalarField(grid2, u1.values[:, None] + u1.values[None, :])
-    )
+    joint_pot = Potential(ScalarField(grid2, u1.values[:, None] + u1.values[None, :]))
     product = ConfigWaveField(
         WaveField(grid2, np.outer(a.values, b.values)).normalized(),
         hbar=hbar, m1=m, m2=m,
@@ -679,6 +675,8 @@ SCHEMAS = {
               "madelung_dt": ("positive", 1e-4),
               "t_end": ("positive", 0.5)},  # round(t_end / madelung_dt) steps
         tolerances={"residual": 1e-3, "rho_l2": 1e-3}, grid=(24.0, 256)),
+    # the carrier is static, so every micro-interval is the same and no
+    # metric depends on n_micro: it must be >= 8 and is echoed in convergence.csv
     "twofluid-verify": Schema(
         keys={"width": ("positive", 1.0), "delta_t": ("positive", 1e-4),
               "n_micro": ("count", 16), "micro_substeps": ("count", 1)},
@@ -929,6 +927,13 @@ class ReportSummary:
             "overall_pass": self.ok,
         }
 
+    def lines(self) -> list[str]:
+        """The verdict as report.txt and `qfluid report` print it."""
+        return ([f"runs: {self.total}  passed: {self.passed}"]
+                + [f"FAIL {f}" for f in self.failures]
+                + [f"INTEGRITY {e}" for e in self.integrity_errors]
+                + ["overall: " + ("PASS" if self.ok else "FAIL")])
+
 
 def report(directory, outdir=None) -> ReportSummary:
     """Aggregate run manifests under a directory into one verdict."""
@@ -965,11 +970,5 @@ def report(directory, outdir=None) -> ReportSummary:
     )
     outdir = Path(outdir) if outdir is not None else directory
     _write_json(outdir / "report.json", summary.to_dict())
-    lines = [
-        f"runs: {summary.total}  passed: {summary.passed}",
-    ]
-    lines += [f"FAIL {f}" for f in summary.failures]
-    lines += [f"INTEGRITY {e}" for e in summary.integrity_errors]
-    lines.append("overall: " + ("PASS" if summary.ok else "FAIL"))
-    (outdir / "report.txt").write_text("\n".join(lines) + "\n")
+    (outdir / "report.txt").write_text("\n".join(summary.lines()) + "\n")
     return summary

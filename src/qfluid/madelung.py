@@ -60,19 +60,18 @@ __all__ = [
 # node-contaminated; residual metrics keep rho > RESIDUAL_REGION_FACTOR x floor.
 DENSITY_FLOOR_FRACTION = 1e-12
 RESIDUAL_REGION_FACTOR = 1e3
+# the explicit (g, S) integrator's step bound, as a fraction of h^2 m / hbar
+CFL_SAFETY = 0.5
 
 
-
-
-def velocity_from_wave(psi: WaveField, hbar: float = 1.0, m: float = 1.0,
-                       floor_fraction: float = DENSITY_FLOOR_FRACTION) -> VectorField:
+def velocity_from_wave(psi: WaveField, hbar: float = 1.0, m: float = 1.0) -> VectorField:
     """(hbar/m) Im(grad psi / psi) with a floored denominator.
 
     Computed from psi itself, which is periodic even when the phase winds,
     so the spectral gradient applies.
     """
     rho = np.abs(psi.values) ** 2
-    floored = np.hypot(rho, floor_fraction * rho.max())
+    floored = np.hypot(rho, DENSITY_FLOOR_FRACTION * rho.max())
     grads = complex_gradient(psi)
     comps = tuple(
         (hbar / m) * np.imag(np.conj(psi.values) * g) / floored for g in grads
@@ -82,14 +81,13 @@ def velocity_from_wave(psi: WaveField, hbar: float = 1.0, m: float = 1.0,
 
 @dataclass(frozen=True)
 class MadelungState:
-    """Hydrodynamic variables (rho, S, v) with constants and floor."""
+    """Hydrodynamic variables (rho, S, v) with their constants."""
 
     rho: ScalarField
     S: ScalarField
     v: VectorField
     hbar: float = 1.0
     m: float = 1.0
-    eps_rho: float = DENSITY_FLOOR_FRACTION
     node_mask: np.ndarray | None = None
     last_renorm: float = 0.0
 
@@ -114,9 +112,11 @@ class MadelungState:
 def decompose(psi: WaveField, hbar: float = 1.0, m: float = 1.0) -> MadelungState:
     """Split psi into density, unwrapped phase action and velocity.
 
-    1D phase unwrapping accumulates wrapped differences; in 2D the phase
-    gradient is line-integrated by a spectral Poisson solve (vortex-free
-    flows only). The velocity comes from Im(grad psi / psi) directly.
+    The phase is unwrapped by accumulating wrapped differences along grid
+    lines: in 2D first along the axis-1 line through the density peak, then
+    along axis 0 outward from that line. This holds for vortex-free states
+    only; around a vortex no single-valued S exists, and the result depends
+    on the paths. The velocity comes from Im(grad psi / psi) directly.
     Points with |psi|^2 under the density floor are flagged in node_mask;
     the unwrap is ambiguous there and downstream consumers should treat
     the flagged region as degraded.
@@ -127,15 +127,14 @@ def decompose(psi: WaveField, hbar: float = 1.0, m: float = 1.0) -> MadelungStat
     grid = psi.grid
     anchor = np.unravel_index(int(np.argmax(rho_vals)), grid.shape)
     v = velocity_from_wave(psi, hbar, m)
+    phase = np.angle(psi.values)
     if grid.dims == 1:
-        s_vals = hbar * np.unwrap(np.angle(psi.values))
+        s_vals = hbar * np.unwrap(phase)
     else:
-        rhs = divergence(VectorField(grid, tuple(m * c for c in v.components)))
-        k2 = grid.k_squared().copy()
-        k2[0, 0] = 1.0
-        s_hat = np.fft.fftn(rhs.values) / (-k2)
-        s_hat[0, 0] = 0.0
-        s_vals = np.fft.ifftn(s_hat).real
+        i0 = anchor[0]
+        up = np.unwrap(phase[i0:], axis=0)
+        down = np.unwrap(phase[i0::-1], axis=0)[:0:-1]  # rows 0 .. i0 - 1
+        s_vals = hbar * (np.concatenate((down, up)) + (np.unwrap(phase[i0]) - phase[i0]))
     # anchor the additive constant to the principal phase at peak density,
     # so decompose -> recompose reproduces psi up to a global phase
     s_vals = s_vals + (hbar * np.angle(psi.values[anchor]) - s_vals[anchor])
@@ -157,8 +156,7 @@ def recompose(state: MadelungState) -> WaveField:
     return WaveField(state.grid, psi).normalized()
 
 
-def quantum_potential(rho: ScalarField, hbar: float = 1.0, m: float = 1.0,
-                      floor_fraction: float = DENSITY_FLOOR_FRACTION) -> ScalarField:
+def quantum_potential(rho: ScalarField, hbar: float = 1.0, m: float = 1.0) -> ScalarField:
     """Q = -(hbar^2/2m) laplacian(sqrt(rho)) / sqrt(rho).
 
     The floor enters the quotient denominator only: sqrt(rho) stays smooth
@@ -169,7 +167,7 @@ def quantum_potential(rho: ScalarField, hbar: float = 1.0, m: float = 1.0,
     consumers mask them.
     """
     r = np.sqrt(np.maximum(rho.values, 0.0))
-    r_safe = np.maximum(r, np.sqrt(floor_fraction * rho.values.max()))
+    r_safe = np.maximum(r, np.sqrt(DENSITY_FLOOR_FRACTION * rho.values.max()))
     lap = laplacian(ScalarField(rho.grid, r)).values
     return ScalarField(rho.grid, -(hbar**2) / (2.0 * m) * lap / r_safe)
 
@@ -196,13 +194,12 @@ def madelung_residual(state: MadelungState, potential: Potential,
     """
     grid = state.grid
     rho, v = state.rho.values, state.v
-    eps = state.eps_rho * rho.max()
-    region = rho > RESIDUAL_REGION_FACTOR * eps
+    region = rho > RESIDUAL_REGION_FACTOR * (DENSITY_FLOOR_FRACTION * rho.max())
 
     flux = VectorField(grid, tuple(rho * c for c in v.components))
     r_cont = drho_dt.values + divergence(flux).values
 
-    q = quantum_potential(state.rho, state.hbar, state.m, state.eps_rho)
+    q = quantum_potential(state.rho, state.hbar, state.m)
     uq = potential.values + q.values
     grad_uq = [fd_derivative(uq, grid, axis) for axis in range(grid.dims)]
     r_mom_sq = np.zeros(grid.shape)
@@ -240,11 +237,10 @@ def residuals_from_snapshots(psi_prev: WaveField, psi_now: WaveField,
     return madelung_residual(now, potential, drho, dv)
 
 
-def cfl_limit(grid: GridSpec, hbar: float = 1.0, m: float = 1.0,
-              safety: float = 0.5) -> float:
+def cfl_limit(grid: GridSpec, hbar: float = 1.0, m: float = 1.0) -> float:
     """Largest stable step for the explicit (R, S) integrator."""
     h = min(grid.spacing)
-    return safety * h**2 * m / hbar
+    return CFL_SAFETY * h**2 * m / hbar
 
 
 # The integrator works in (g, S) with g = ln R, so rho = exp(2g). In these
@@ -287,8 +283,7 @@ def _log_polar_rhs(g: np.ndarray, s: np.ndarray, grid: GridSpec,
     return dg, ds
 
 
-def madelung_step(state: MadelungState, potential: Potential, dt: float,
-                  cfl_safety: float = 0.5) -> MadelungState:
+def madelung_step(state: MadelungState, potential: Potential, dt: float) -> MadelungState:
     """One classic RK4 step of the amplitude-phase system.
 
     Internally the amplitude is carried as its logarithm (rho = exp(2g)),
@@ -304,7 +299,7 @@ def madelung_step(state: MadelungState, potential: Potential, dt: float,
     domain large enough that the seam density stays under ~1e-18 of the
     peak.
     """
-    limit = cfl_limit(state.grid, state.hbar, state.m, cfl_safety)
+    limit = cfl_limit(state.grid, state.hbar, state.m)
     if dt > limit:
         raise StabilityError(
             f"dt={dt!r} exceeds the explicit stability limit {limit!r}"
@@ -340,6 +335,5 @@ def madelung_step(state: MadelungState, potential: Potential, dt: float,
         S=ScalarField(grid, s1),
         hbar=state.hbar,
         m=state.m,
-        eps_rho=state.eps_rho,
         last_renorm=abs(norm - 1.0),
     )

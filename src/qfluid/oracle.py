@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 NORM_DRIFT_ABORT = 1e-6
+# an eigenpair residual |H v - E v| above this times max(1, |E|) raises
+EIGEN_RESIDUAL_TOL = 1e-6
 
 
 @dataclass(frozen=True)
@@ -87,10 +89,6 @@ class Potential:
         vals = np.where(np.abs(x - center) <= width / 2, height, 0.0)
         return cls(ScalarField(grid, vals))
 
-    @classmethod
-    def custom(cls, field: ScalarField) -> "Potential":
-        return cls(field)
-
 
 @dataclass(frozen=True)
 class PropagatorState:
@@ -101,9 +99,6 @@ class PropagatorState:
     dt: float
     hbar: float = 1.0
     m: float = 1.0
-
-    def norm(self) -> float:
-        return self.psi.norm()
 
 
 # (id(potential), dt, hbar, m) -> (potential, half_v, kin). Each entry holds
@@ -224,8 +219,7 @@ def _fd_hamiltonian(potential: Potential, hbar: float, m: float) -> np.ndarray:
 
 
 def stationary_states(potential: Potential, count: int, hbar: float = 1.0,
-                      m: float = 1.0,
-                      residual_tol: float = 1e-6) -> list[tuple[float, WaveField]]:
+                      m: float = 1.0) -> list[tuple[float, WaveField]]:
     """Lowest `count` eigenpairs of the discrete 1D Hamiltonian.
 
     Second-order periodic finite-difference kinetic term plus the diagonal
@@ -256,7 +250,7 @@ def stationary_states(potential: Potential, count: int, hbar: float = 1.0,
     for k in range(count):
         vec = vectors[:, k]
         res = float(np.linalg.norm(ham @ vec - energies[k] * vec))
-        if res > residual_tol * max(1.0, abs(energies[k])):
+        if res > EIGEN_RESIDUAL_TOL * max(1.0, abs(energies[k])):
             raise EigensolverError(
                 f"eigenpair {k} residual {res:.3e} exceeds tolerance"
             )
@@ -292,7 +286,7 @@ def random_phase_superposition(grid2d: GridSpec, omega_x: float, omega_y: float,
         for ny in modes:
             _, phi = tensor_eigenstate(grid2d, px[nx], py[ny])
             vals += np.exp(1j * rng.uniform(0, 2 * np.pi)) * amp * phi.values
-    joint = Potential.custom(ScalarField(grid2d, ux.values[:, None] + uy.values[None, :]))
+    joint = Potential(ScalarField(grid2d, ux.values[:, None] + uy.values[None, :]))
     return WaveField(grid2d, vals).normalized(), joint
 
 

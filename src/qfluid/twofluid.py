@@ -45,7 +45,6 @@ __all__ = [
     "micro_acceleration_differenced",
     "averaged_acceleration",
     "reaction_force",
-    "osmotic_force_reference",
 ]
 
 SIGMA_FLOOR_FRACTION = 1e-12
@@ -66,7 +65,6 @@ class TwoFluidConfig:
     delta_t: float
     N_micro: int
     micro_substeps: int = 1
-    scheme: str = "euler"
 
     def __post_init__(self):
         if self.D <= 0:
@@ -77,17 +75,14 @@ class TwoFluidConfig:
             )
         if self.micro_substeps < 1:
             raise ConfigError("micro_substeps must be at least 1")
-        if self.scheme not in ("euler", "rk4"):
-            raise ConfigError(f"unknown diffusion scheme {self.scheme!r}")
 
     @classmethod
     def make(cls, delta_t: float, N_micro: int, D: float | None = None,
-             hbar: float = 1.0, m: float = 1.0, micro_substeps: int = 1,
-             scheme: str = "euler") -> "TwoFluidConfig":
+             hbar: float = 1.0, m: float = 1.0,
+             micro_substeps: int = 1) -> "TwoFluidConfig":
         if D is None:
             D = hbar / (2.0 * m)
-        return cls(D=D, delta_t=delta_t, N_micro=N_micro,
-                   micro_substeps=micro_substeps, scheme=scheme)
+        return cls(D=D, delta_t=delta_t, N_micro=N_micro, micro_substeps=micro_substeps)
 
     @property
     def Delta_t(self) -> float:
@@ -99,15 +94,14 @@ class TwoFluidConfig:
         return self.delta_t / self.micro_substeps
 
 
-def fluid2_velocity(sigma: ScalarField, D: float,
-                    floor_fraction: float = SIGMA_FLOOR_FRACTION) -> VectorField:
+def fluid2_velocity(sigma: ScalarField, D: float) -> VectorField:
     """Osmotic velocity u = -D grad(sigma) / sigma.
 
     The gradient uses local stencils so the rounding error in the deep
     tail stays relative to the local density; spectral differencing here
     would flood the tail with its absolute noise floor.
     """
-    floor = floor_fraction * sigma.values.max()
+    floor = SIGMA_FLOOR_FRACTION * sigma.values.max()
     safe = np.maximum(sigma.values, floor)
     grid = sigma.grid
     comps = tuple(
@@ -126,13 +120,15 @@ def fluid2_microstep(sigma: ScalarField, dt_sub: float, D: float,
                      scheme: str = "euler") -> ScalarField:
     """One explicit substep of d(sigma)/dt = D laplacian(sigma).
 
-    Forward Euler by default, classic RK4 when configured. The Laplacian is
-    a local 8th-order stencil: its rounding error scales with the local
-    density, keeping the far tail clean for the ratio-based acceleration,
-    and its stencil coefficients sum to zero exactly, so the discrete mass
-    is conserved to rounding. It is also comfortably stable under forward
+    Forward Euler by default, classic RK4 with scheme="rk4"; any other
+    scheme is a ConfigError. The Laplacian is a local 8th-order stencil: its
+    rounding error scales with the local density, keeping the far tail clean
+    for the ratio-based acceleration, and its stencil coefficients sum to
+    zero exactly, so the discrete mass is conserved to rounding. It is also comfortably stable under forward
     Euler at the h^2/4D bound, which a spectral Laplacian would not be.
     """
+    if scheme not in ("euler", "rk4"):
+        raise ConfigError(f"unknown diffusion scheme {scheme!r}")
     grid = sigma.grid
     limit = diffusion_stability_limit(grid, D)
     if dt_sub > limit:
@@ -157,12 +153,15 @@ def fluid2_microstep(sigma: ScalarField, dt_sub: float, D: float,
     return ScalarField(grid, s1)
 
 
-def micro_acceleration(sigma: ScalarField, D: float,
-                       floor_fraction: float = SIGMA_FLOOR_FRACTION) -> VectorField:
-    """Closed-form parcel acceleration -2 D^2 grad(lap(sqrt(sigma))/sqrt(sigma))."""
+def micro_acceleration(sigma: ScalarField, D: float) -> VectorField:
+    """Closed-form parcel acceleration -2 D^2 grad(lap(sqrt(sigma))/sqrt(sigma)).
+
+    Evaluated on a static carrier rho this is the window-average limit and,
+    for D = hbar/2m, equals grad(Q)/m from the quantum potential of rho.
+    """
     sig = sigma.values
     r = np.sqrt(np.maximum(sig, 0.0))
-    r_safe = np.maximum(r, np.sqrt(floor_fraction * sig.max()))
+    r_safe = np.maximum(r, np.sqrt(SIGMA_FLOOR_FRACTION * sig.max()))
     ratio = laplacian(ScalarField(sigma.grid, r)).values / r_safe
     grad_ratio = gradient(ScalarField(sigma.grid, ratio))
     return VectorField(
@@ -171,8 +170,8 @@ def micro_acceleration(sigma: ScalarField, D: float,
     )
 
 
-def micro_acceleration_differenced(sigma: ScalarField, dt_sub: float, D: float,
-                                   scheme: str = "euler") -> VectorField:
+def micro_acceleration_differenced(sigma: ScalarField, dt_sub: float,
+                                   D: float) -> VectorField:
     """Cross-check mode: du/dt = (u(t+dt)-u(t))/dt + (u.grad)u.
 
     First-order forward differencing of the osmotic velocity of sigma and
@@ -181,7 +180,7 @@ def micro_acceleration_differenced(sigma: ScalarField, dt_sub: float, D: float,
     """
     grid = sigma.grid
     u0 = fluid2_velocity(sigma, D).components
-    u1 = fluid2_velocity(fluid2_microstep(sigma, dt_sub, D, scheme), D).components
+    u1 = fluid2_velocity(fluid2_microstep(sigma, dt_sub, D), D).components
     comps = []
     for i in range(grid.dims):
         dudt = (u1[i] - u0[i]) / dt_sub
@@ -216,7 +215,7 @@ def averaged_acceleration(rho_series: RhoSeries, cfg: TwoFluidConfig) -> VectorF
     for rho_j in series:
         sigma = rho_j  # the jump
         for _ in range(cfg.micro_substeps):
-            sigma = fluid2_microstep(sigma, cfg.dt_sub, cfg.D, cfg.scheme)
+            sigma = fluid2_microstep(sigma, cfg.dt_sub, cfg.D)
         a_j = micro_acceleration(sigma, cfg.D)
         for i in range(grid.dims):
             acc[i] += a_j.components[i]
@@ -237,15 +236,14 @@ class ReactionForce:
 
 
 def reaction_force(avg_accel: VectorField, sigma: ScalarField,
-                   rho: ScalarField,
-                   floor_fraction: float = SIGMA_FLOOR_FRACTION) -> ReactionForce:
+                   rho: ScalarField) -> ReactionForce:
     """P = -(sigma/rho) <du/dt> and its sigma ~ rho approximation -<du/dt>.
 
     Below the density floor the ratio sigma/rho is taken as one: the jump
     pins sigma to rho there anyway, and dividing two vanishing densities
     would turn protection noise into spurious force structure.
     """
-    floor = floor_fraction * rho.values.max()
+    floor = SIGMA_FLOOR_FRACTION * rho.values.max()
     weight = np.where(
         rho.values > floor,
         np.maximum(sigma.values, 0.0) / np.maximum(rho.values, floor),
@@ -262,13 +260,3 @@ def reaction_force(avg_accel: VectorField, sigma: ScalarField,
     )
     return ReactionForce(exact=exact, approx=approx,
                          max_rel_gap=float(gap / scale) if scale > 0 else 0.0)
-
-
-def osmotic_force_reference(rho: ScalarField, D: float,
-                            floor_fraction: float = SIGMA_FLOOR_FRACTION) -> VectorField:
-    """The closed form -2 D^2 grad(lap(sqrt(rho))/sqrt(rho)) evaluated on rho.
-
-    This is the window-average limit for static rho and, for D = hbar/2m,
-    equals grad(Q)/m computed from the quantum potential of rho.
-    """
-    return micro_acceleration(rho, D, floor_fraction)

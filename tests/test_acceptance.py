@@ -22,7 +22,7 @@ from qfluid.oracle import (
     stationary_states,
 )
 from qfluid.madelung import decompose, madelung_step, quantum_potential, residuals_from_snapshots
-from qfluid.twofluid import TwoFluidConfig, averaged_acceleration, osmotic_force_reference, reaction_force
+from qfluid.twofluid import TwoFluidConfig, averaged_acceleration, micro_acceleration, reaction_force
 from qfluid.ensemble import sample_equilibrium, propagate_ensemble, WaveTimeline
 from qfluid.experiments import ExperimentConfig, run
 
@@ -61,7 +61,7 @@ def test_criterion_1_quantum_potential_emergence(tmp_path):
 def test_criterion_2_diffusion_coefficient_identification():
     grid = GridSpec.centered(12.0, 512)
     rho = periodic_gaussian_density(grid, 1.0)
-    basis = osmotic_force_reference(rho, 1.0).components[0] / 2.0
+    basis = micro_acceleration(rho, 1.0).components[0] / 2.0
     worst = 0.0
     for diffusion in (0.25, 0.5, 1.0):
         cfg = TwoFluidConfig.make(delta_t=1e-4, N_micro=16, D=diffusion)

@@ -266,9 +266,7 @@ class TestPairTransport:
         omega = 1.0
         u1 = Potential.harmonic(line, omega)
         grid2 = product.grid
-        joint_pot = Potential.custom(
-            ScalarField(grid2, u1.values[:, None] + u1.values[None, :])
-        )
+        joint_pot = Potential(ScalarField(grid2, u1.values[:, None] + u1.values[None, :]))
         steps = 400
         dt = 2 * np.pi / steps
         timeline2 = OracleTimeline(product.psi, joint_pot, dt)
@@ -308,9 +306,7 @@ class TestPairTransport:
         mix = (pairs1[0][1].values + pairs1[1][1].values) / np.sqrt(2)
         grid2 = joint_grid(line, line)
         psi0 = WaveField(grid2, np.outer(mix, mix)).normalized()
-        joint_pot = Potential.custom(
-            ScalarField(grid2, u1.values[:, None] + u1.values[None, :])
-        )
+        joint_pot = Potential(ScalarField(grid2, u1.values[:, None] + u1.values[None, :]))
         period = 2 * np.pi / omega
         steps = 400
         dt = period / steps

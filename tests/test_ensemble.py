@@ -383,6 +383,7 @@ def test_bootstrap_matches_rehistogram_1d(grid512, ground512):
     ens = TrajectoryEnsemble(grid=grid512, positions=positions, seed=0)
     got = bootstrap_coarse_H(ens, ground512, 8, n_boot=60, seed=4)
     assert got == _bootstrap_by_rehistogram(ens, ground512, 8, 60, 4)
+    assert got[0] == coarse_grained_H(ens, ground512, 8)
 
 
 def test_bootstrap_matches_rehistogram_2d():
@@ -399,6 +400,7 @@ def test_bootstrap_matches_rehistogram_2d():
     ens = TrajectoryEnsemble(grid=grid, positions=positions, seed=0)
     got = bootstrap_coarse_H(ens, psi, 8, n_boot=60, seed=6)
     assert got == _bootstrap_by_rehistogram(ens, psi, 8, 60, 6)
+    assert got[0] == coarse_grained_H(ens, psi, 8)
 
 
 def test_histogram_density_normalized():

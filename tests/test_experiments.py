@@ -222,6 +222,20 @@ class TestCli:
         assert "fitted order" in capsys.readouterr().out
         assert cli_main(["report", str(out_dir)]) == 0
 
+    def test_report_stdout_is_report_txt(self, tmp_path, capsys):
+        run(fast_config(), tmp_path / "good")
+        run(fast_config(tolerances={"rel_err": 1e-9}), tmp_path / "bad")
+        run(fast_config(), tmp_path / "broken")
+        path = tmp_path / "broken" / "run_manifest.json"
+        doc = json.loads(path.read_text())
+        doc["metrics"] = {}
+        path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        assert cli_main(["report", str(tmp_path)]) == 1
+        out = capsys.readouterr().out
+        assert "\nFAIL " in out and "\nINTEGRITY " in out
+        assert out == (tmp_path / "report.txt").read_text()
+
     def assert_config_error(self, tmp_path, capsys, doc):
         doc = dict(doc, output_dir=str(tmp_path / "out"))
         assert cli_main(["run", self.write_config(tmp_path, doc)]) == 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import field_l2, phase_aligned_l2
 from qfluid.errors import StabilityError
-from qfluid.grids import GridSpec, ScalarField
+from qfluid.grids import GridSpec, ScalarField, WaveField, fd_derivative
 from qfluid.madelung import (
     MadelungState,
     cfl_limit,
@@ -85,7 +85,6 @@ class TestDecompose:
         # periodic-phase state with a fully periodized amplitude, so the
         # density stays above the floor everywhere and the line-integrated
         # phase is exact
-        from qfluid.grids import WaveField
         from qfluid.oracle import periodic_gaussian_density
 
         grid = GridSpec.centered((8.0, 8.0), (64, 64))
@@ -99,6 +98,22 @@ class TestDecompose:
         state = decompose(psi)
         back = recompose(state)
         assert phase_aligned_l2(back.values, psi.values, grid) <= 1e-8
+
+    @pytest.mark.parametrize("phase", [
+        lambda x, y: 0.7 * x - 1.3 * y,             # mean flow
+        lambda x, y: 0.3 * (x**2 + y**2 / 2),        # chirp
+    ], ids=["mean-flow", "chirp"])
+    def test_2d_decompose_unwraps_vortex_free_phase(self, phase):
+        # neither phase is periodic, so S must carry the mean flow and the chirp
+        grid = GridSpec.centered((20.0, 20.0), (128, 128))
+        xx, yy = grid.meshgrid()
+        psi = WaveField(grid, np.exp(-(xx**2 + yy**2) / 4 + 1j * phase(xx, yy))).normalized()
+        state = decompose(psi)
+        region = state.rho.values > 1e-6 * state.rho.values.max()
+        for axis in (0, 1):
+            from_s = fd_derivative(state.S.values, grid, axis)
+            assert np.abs(from_s - state.v.components[axis])[region].max() <= 1e-8
+        assert phase_aligned_l2(recompose(state).values, psi.values, grid) <= 1e-12
 
 
 class TestQuantumPotential:

@@ -36,7 +36,7 @@ class TestPotential:
         vals = np.zeros(grid512.shape)
         vals[0] = np.inf
         with pytest.raises(ConfigError):
-            Potential.custom(ScalarField(grid512, vals))
+            Potential(ScalarField(grid512, vals))
 
 
 class TestSplitStep:

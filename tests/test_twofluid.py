@@ -23,7 +23,6 @@ from qfluid.twofluid import (
     fluid2_velocity,
     micro_acceleration,
     micro_acceleration_differenced,
-    osmotic_force_reference,
     reaction_force,
 )
 
@@ -69,9 +68,9 @@ class TestConfig:
         with pytest.raises(ConfigError):
             TwoFluidConfig.make(delta_t=1e-4, N_micro=4)
 
-    def test_bad_scheme(self):
+    def test_bad_scheme(self, rho):
         with pytest.raises(ConfigError):
-            TwoFluidConfig.make(delta_t=1e-4, N_micro=16, scheme="leapfrog")
+            fluid2_microstep(rho, 1e-5, D_DEFAULT, scheme="leapfrog")
 
 
 class TestOsmoticVelocity:
@@ -192,7 +191,7 @@ class TestAveragedAcceleration:
         acc = averaged_acceleration(rho, cfg)
         grad_q = gradient(quantum_potential(rho)).components[0]
         assert rel_l2(acc.components[0], grad_q) <= 1e-3
-        closed = osmotic_force_reference(rho, D_DEFAULT).components[0]
+        closed = micro_acceleration(rho, D_DEFAULT).components[0]
         assert rel_l2(acc.components[0], closed) <= 1e-3
         # elementwise agreement with the quantum-potential route
         gap = np.abs(acc.components[0] - grad_q).max()
@@ -213,7 +212,7 @@ class TestAveragedAcceleration:
                                       micro_substeps=4)
             acc = averaged_acceleration(series, cfg)
             mid_rho = snaps[n_micro // 2].psi.density()
-            ref = osmotic_force_reference(mid_rho, cfg.D).components[0]
+            ref = micro_acceleration(mid_rho, cfg.D).components[0]
             devs.append(rel_l2(acc.components[0], ref))
         # halving the window roughly halves the deviation from the
         # midpoint closed form
@@ -278,7 +277,7 @@ class TestIdentificationSweeps:
         assert errs[0] > errs[1] > errs[2]
 
     def test_fitted_coefficient_equals_2d_squared(self, rho_grid, rho):
-        basis = osmotic_force_reference(rho, 1.0).components[0] / 2.0
+        basis = micro_acceleration(rho, 1.0).components[0] / 2.0
         for D in (0.25, 0.5, 1.0):
             cfg = TwoFluidConfig.make(delta_t=1e-4, N_micro=16, D=D)
             acc = averaged_acceleration(rho, cfg).components[0]
