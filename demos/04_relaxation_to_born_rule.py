@@ -33,7 +33,7 @@ period = 2 * np.pi / omega_x
 steps = 1000
 dt = period / steps
 positions = np.random.default_rng(102).uniform(-2.5, 2.5, (n_traj, 2))
-ensemble = TrajectoryEnsemble(grid=grid, positions=positions, seed=102)
+ensemble = TrajectoryEnsemble(grid=grid, positions=positions)
 timeline = OracleTimeline(psi0, joint, dt)
 
 print(f"{n_traj} trajectories, uniform start, {len(modes)**2} modes")

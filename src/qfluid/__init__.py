@@ -62,13 +62,11 @@ from .twofluid import (
     reaction_force,
 )
 from .ensemble import (
-    HistogramGrid,
     OracleTimeline,
     TrajectoryEnsemble,
     WaveTimeline,
     coarse_grained_H,
     equivariance_distance,
-    guiding_velocity,
     propagate_ensemble,
     sample_equilibrium,
 )

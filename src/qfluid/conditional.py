@@ -29,9 +29,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConditionalUndefinedError, ConfigError
-from .grids import GridSpec, WaveField, _check_finite, _interp_weights, _spectral_derivative
-from .ensemble import (NODE_FLOOR_FRACTION, NodeEvents, TrajectoryEnsemble, VelocityField,
-                       _cell_rows, _cell_terms, _floored_ratios, propagate_ensemble)
+from .grids import (DENSITY_FLOOR_FRACTION, GridSpec, WaveField, _check_finite,
+                    _interp_weights, _spectral_derivative)
+from .ensemble import (NodeEvents, TrajectoryEnsemble, VelocityField, _cell_rows, _cell_terms,
+                       _floored_ratios, propagate_ensemble)
 
 __all__ = [
     "ConfigWaveField",
@@ -177,7 +178,7 @@ def conditional_guiding_velocities(state: ConfigWaveField, positions: np.ndarray
     rows = _cell_rows(a, phi[k, i1] - a, c, g[k, i1] - c, float(peaks.max()))
     v, rho = _cell_terms(rows, w)
     v_max = state.hbar * np.pi / (m_i * grid.spacing[particle])
-    flagged = _floored_ratios([v], rho, NODE_FLOOR_FRACTION * peaks, (v_max,))
+    flagged = _floored_ratios([v], rho, DENSITY_FLOOR_FRACTION * peaks, (v_max,))
     if events is not None:
         events.record(flagged)
     return v
@@ -205,7 +206,7 @@ def propagate_pair(state0: ConfigWaveField, timeline, pair: ParticlePair,
     events, when given, counts the transport's velocity evaluations and
     the capped ones among them.
     """
-    ens = TrajectoryEnsemble(grid=state0.grid, positions=pair.positions[None, :], seed=0)
+    ens = TrajectoryEnsemble(grid=state0.grid, positions=pair.positions[None, :])
     res = propagate_ensemble(ens, timeline, dt, steps, record_history=True)
     if events is not None:
         events.evaluations += res.events.evaluations

@@ -33,18 +33,16 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import ConfigError, GridMismatchError
-from .grids import (GridSpec, ScalarField, WaveField, _check_finite, _interp_weights,
-                    _nonzero_parts, _spectral_derivative)
+from .grids import (DENSITY_FLOOR_FRACTION, GridSpec, ScalarField, WaveField, _check_finite,
+                    _interp_weights, _nonzero_parts, _spectral_derivative)
 from .oracle import Potential, PropagatorState, split_step_evolve
 
 __all__ = [
     "TrajectoryEnsemble",
-    "HistogramGrid",
     "NodeEvents",
     "VelocityField",
     "WaveTimeline",
     "OracleTimeline",
-    "guiding_velocity",
     "propagate_ensemble",
     "PropagationResult",
     "sample_equilibrium",
@@ -54,7 +52,6 @@ __all__ = [
     "bootstrap_coarse_H",
 ]
 
-NODE_FLOOR_FRACTION = 1e-12
 DEGRADED_CAP_FRACTION = 1e-3
 # trajectories per block of RK4 transport: a block's stage temporaries stay
 # in a 2 MB per-core L2 cache (4096 to 32768 measured; see CHANGES.md)
@@ -63,7 +60,7 @@ _BLOCK = 8192
 
 @dataclass(frozen=True)
 class TrajectoryEnsemble:
-    """Particle positions with provenance (seed) and optional history.
+    """Particle positions with optional history.
 
     positions has shape (n,) in 1D or (n, 2) in 2D; history, when recorded,
     has shape (steps + 1, n[, 2]) including the initial positions.
@@ -71,7 +68,6 @@ class TrajectoryEnsemble:
 
     grid: GridSpec
     positions: np.ndarray
-    seed: int
     history: np.ndarray | None = None
 
     def __post_init__(self):
@@ -265,7 +261,7 @@ class VelocityField:
         # then raises before any transform, which would warn on an inf
         if not math.isfinite(peak):
             _check_finite(values, "velocity field input")
-        self.rho_floor = NODE_FLOOR_FRACTION * peak
+        self.rho_floor = DENSITY_FLOOR_FRACTION * peak
         if grid.dims == 1:
             self._tables = self._cell_table(values, peak)
         else:
@@ -377,12 +373,6 @@ class VelocityField:
         flagged = _floored_ratios(numerators, rho, self.rho_floor, self.v_max)
         out = numerators[0] if grid.dims == 1 else np.stack(numerators, axis=-1)
         return out.reshape(pos.shape), flagged.reshape(point_shape)
-
-
-def guiding_velocity(psi: WaveField, x, hbar: float = 1.0, m: float = 1.0,
-                     events: NodeEvents | None = None) -> np.ndarray:
-    """Guiding velocity at one position or an array of positions."""
-    return VelocityField(psi, hbar, m).at(x, events)
 
 
 class WaveTimeline:
@@ -714,6 +704,17 @@ def _forked_transport(x: np.ndarray, initial: np.ndarray, blocks: list[slice],
             os.waitpid(pid, 0)
 
 
+def _cell_cdf(vals: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
+    """Cell edges and CDF of the 1D piecewise-constant law of the
+    non-negative node values vals: cell k spans half a spacing on either
+    side of node k, so the law is unbiased in the mean."""
+    h = grid.spacing[0]
+    cdf = np.concatenate([[0.0], np.cumsum(vals) * h])
+    cdf /= cdf[-1]
+    edges = grid.origin[0] + h * (np.arange(grid.points[0] + 1) - 0.5)
+    return edges, cdf
+
+
 def sample_equilibrium(rho: ScalarField, n: int, seed: int) -> TrajectoryEnsemble:
     """Draw n positions distributed as the (normalized) density rho.
 
@@ -725,13 +726,8 @@ def sample_equilibrium(rho: ScalarField, n: int, seed: int) -> TrajectoryEnsembl
     rng = np.random.default_rng(seed)
     grid = rho.grid
     vals = np.maximum(rho.values, 0.0)
-    # cells are centered on the nodes carrying the density values, so the
-    # sampled piecewise-constant law is unbiased in the mean
     if grid.dims == 1:
-        h = grid.spacing[0]
-        cdf = np.concatenate([[0.0], np.cumsum(vals) * h])
-        cdf /= cdf[-1]
-        edges = grid.origin[0] + h * (np.arange(grid.points[0] + 1) - 0.5)
+        edges, cdf = _cell_cdf(vals, grid)
         u = rng.random(n)
         positions = grid.wrap(np.interp(u, cdf, edges), 0)
     else:
@@ -749,7 +745,7 @@ def sample_equilibrium(rho: ScalarField, n: int, seed: int) -> TrajectoryEnsembl
             ],
             axis=-1,
         )
-    return TrajectoryEnsemble(grid=grid, positions=positions, seed=seed)
+    return TrajectoryEnsemble(grid=grid, positions=positions)
 
 
 def ks_statistic(positions: np.ndarray, rho: ScalarField) -> float:
@@ -760,10 +756,7 @@ def ks_statistic(positions: np.ndarray, rho: ScalarField) -> float:
     grid = rho.grid
     if grid.dims != 1:
         raise ConfigError("KS statistic implemented for 1D densities")
-    h = grid.spacing[0]
-    cdf = np.concatenate([[0.0], np.cumsum(np.maximum(rho.values, 0.0)) * h])
-    cdf /= cdf[-1]
-    edges = grid.origin[0] + h * (np.arange(grid.points[0] + 1) - 0.5)
+    edges, cdf = _cell_cdf(np.maximum(rho.values, 0.0), grid)
     lo = edges[0]
     xs = np.sort(lo + np.mod(np.asarray(positions, dtype=float) - lo,
                              grid.extent[0]))
@@ -774,48 +767,29 @@ def ks_statistic(positions: np.ndarray, rho: ScalarField) -> float:
     return float(max(upper, lower))
 
 
-@dataclass(frozen=True)
-class HistogramGrid:
-    """Histogram over equal bins aligned with the field grid."""
+def _window(grid: GridSpec, axis: int, col: np.ndarray,
+            bins: int) -> tuple[np.ndarray, np.ndarray]:
+    """col wrapped into the node-centered window along axis, which starts
+    half a spacing below the origin, and the edges of its `bins` equal bins:
+    bin b groups whole node-centered cells, the law sample_equilibrium
+    draws from."""
+    low, extent = grid.origin[axis] - grid.spacing[axis] / 2, grid.extent[axis]
+    edges = low + (extent / bins) * np.arange(bins + 1)
+    return low + np.mod(col - low, extent), edges
 
-    grid: GridSpec
-    bins: tuple[int, ...]
-    counts: np.ndarray
-    density: np.ndarray = field(init=False)
 
-    def __post_init__(self):
-        total = self.counts.sum()
-        binvol = self.bin_volume
-        object.__setattr__(self, "density", self.counts / (total * binvol))
-
-    @property
-    def bin_volume(self) -> float:
-        return _bin_volume(self.grid, self.bins)
-
-    @classmethod
-    def from_positions(cls, grid: GridSpec, positions: np.ndarray,
-                       bins) -> "HistogramGrid":
-        """Histogram on bins aligned with node-centered grid cells.
-
-        Bin b groups whole grid cells, each spanning half a spacing on
-        either side of its node, matching the law sample_equilibrium draws
-        from; positions are wrapped into that window first.
-        """
-        bins = (bins,) * grid.dims if np.isscalar(bins) else tuple(bins)
-        lows = [grid.origin[i] - grid.spacing[i] / 2 for i in range(grid.dims)]
-        edges = [
-            lows[i] + (grid.extent[i] / bins[i]) * np.arange(bins[i] + 1)
-            for i in range(grid.dims)
-        ]
-        pos = np.asarray(positions, dtype=float)
-        if grid.dims == 1:
-            wrapped = lows[0] + np.mod(pos - lows[0], grid.extent[0])
-            counts, _ = np.histogram(wrapped, bins=edges[0])
-        else:
-            wx = lows[0] + np.mod(pos[:, 0] - lows[0], grid.extent[0])
-            wy = lows[1] + np.mod(pos[:, 1] - lows[1], grid.extent[1])
-            counts, _, _ = np.histogram2d(wx, wy, bins=edges)
-        return cls(grid=grid, bins=bins, counts=counts.astype(float))
+def _binned_density(grid: GridSpec, positions: np.ndarray,
+                    bins: tuple[int, ...]) -> np.ndarray:
+    """Histogram density of positions on the _window bins of every axis."""
+    pos = np.asarray(positions, dtype=float)
+    if grid.dims == 1:
+        wrapped, edges = _window(grid, 0, pos, bins[0])
+        counts, _ = np.histogram(wrapped, bins=edges)
+    else:
+        (wx, ex), (wy, ey) = (_window(grid, i, pos[:, i], bins[i]) for i in range(2))
+        counts, _, _ = np.histogram2d(wx, wy, bins=[ex, ey])
+    counts = counts.astype(float)
+    return counts / (counts.sum() * _bin_volume(grid, bins))
 
 
 def _bin_volume(grid: GridSpec, bins: tuple[int, ...]) -> float:
@@ -825,20 +799,18 @@ def _bin_volume(grid: GridSpec, bins: tuple[int, ...]) -> float:
 def _bin_index(grid: GridSpec, positions: np.ndarray,
                bins: tuple[int, ...]) -> np.ndarray:
     """Flat (row-major) bin of each position on the bins of
-    HistogramGrid.from_positions, or prod(bins) outside every bin.
+    _binned_density, or prod(bins) outside every bin.
 
-    Same wrap and same rule as np.histogram / np.histogram2d on the explicit
-    edges there: bins are half-open [e_k, e_k+1) except the last, which also
-    holds its upper edge.
+    Same rule as np.histogram / np.histogram2d on the _window edges: bins
+    are half-open [e_k, e_k+1) except the last, which also holds its upper
+    edge.
     """
     pos = np.asarray(positions, dtype=float)
     columns = [pos] if grid.dims == 1 else [pos[:, 0], pos[:, 1]]
     flat = np.zeros(columns[0].shape, dtype=np.int64)
     outside = np.zeros(columns[0].shape, dtype=bool)
     for i, (col, b) in enumerate(zip(columns, bins)):
-        low, extent = grid.origin[i] - grid.spacing[i] / 2, grid.extent[i]
-        edges = low + (extent / b) * np.arange(b + 1)
-        wrapped = low + np.mod(col - low, extent)
+        wrapped, edges = _window(grid, i, col, b)
         k = np.searchsorted(edges, wrapped, side="right") - 1
         k[wrapped == edges[-1]] = b - 1
         outside |= (k < 0) | (k >= b)
@@ -847,11 +819,18 @@ def _bin_index(grid: GridSpec, positions: np.ndarray,
     return flat
 
 
-def _bin_average(values: np.ndarray, grid: GridSpec, bins: tuple[int, ...]) -> np.ndarray:
-    """Average a grid field over equal bins (bin counts must divide points)."""
+def _checked_bins(grid: GridSpec, bins) -> tuple[int, ...]:
+    """bins (one count, or one per axis) as a tuple, or a ConfigError
+    unless each is at least 1 and divides its axis's point count."""
+    bins = (bins,) * grid.dims if np.isscalar(bins) else tuple(bins)
     for n, b in zip(grid.points, bins):
-        if n % b != 0:
+        if b < 1 or n % b != 0:
             raise ConfigError(f"{b} bins do not divide {n} grid points")
+    return bins
+
+
+def _bin_average(values: np.ndarray, grid: GridSpec, bins: tuple[int, ...]) -> np.ndarray:
+    """Average a grid field over equal _checked_bins."""
     if grid.dims == 1:
         return values.reshape(bins[0], -1).mean(axis=1)
     bx, by = bins
@@ -864,9 +843,11 @@ def equivariance_distance(ens: TrajectoryEnsemble, psi: WaveField,
     """L1 distance between the ensemble histogram and |psi|^2 on the bins."""
     if psi.grid != ens.grid:
         raise GridMismatchError("ensemble and wave field grids differ")
-    hist = HistogramGrid.from_positions(ens.grid, ens.positions, bins)
-    rho_bar = _bin_average(psi.density().values, psi.grid, hist.bins)
-    return float(np.sum(np.abs(hist.density - rho_bar)) * hist.bin_volume)
+    grid = ens.grid
+    bins = _checked_bins(grid, bins)
+    density = _binned_density(grid, ens.positions, bins)
+    rho_bar = _bin_average(psi.density().values, grid, bins)
+    return float(np.sum(np.abs(density - rho_bar)) * _bin_volume(grid, bins))
 
 
 def coarse_grained_H(ens: TrajectoryEnsemble, psi: WaveField,
@@ -880,15 +861,16 @@ def coarse_grained_H(ens: TrajectoryEnsemble, psi: WaveField,
     """
     grid = ens.grid
     bins = _coarse_bins(grid, cell_size)
-    hist = HistogramGrid.from_positions(grid, ens.positions, bins)
-    return _relative_entropy(hist.density, _bin_average(psi.density().values, grid, bins),
-                             hist.bin_volume)
+    return _relative_entropy(_binned_density(grid, ens.positions, bins),
+                             _bin_average(psi.density().values, grid, bins),
+                             _bin_volume(grid, bins))
 
 
 def _coarse_bins(grid: GridSpec, cell_size: int) -> tuple[int, ...]:
+    """The _checked_bins of cells cell_size spacings wide on every axis."""
     if cell_size < 4:
         raise ConfigError("coarse-graining cells must span at least 4 spacings")
-    return tuple(n // cell_size for n in grid.points)
+    return _checked_bins(grid, tuple(n // cell_size for n in grid.points))
 
 
 def _relative_entropy(p_bar: np.ndarray, rho_bar: np.ndarray, bin_volume: float) -> float:

@@ -43,12 +43,14 @@ from .madelung import (
     quantum_potential,
     residuals_from_snapshots,
 )
-from .twofluid import TwoFluidConfig, averaged_acceleration, micro_acceleration, reaction_force
+from .twofluid import TwoFluidConfig, averaged_acceleration, micro_acceleration
 from .ensemble import (
     NodeEvents,
     OracleTimeline,
     TrajectoryEnsemble,
     WaveTimeline,
+    _checked_bins,
+    _coarse_bins,
     bootstrap_coarse_H,
     coarse_grained_H,
     equivariance_distance,
@@ -108,10 +110,6 @@ class ExperimentConfig:
         if not isinstance(doc, dict):
             raise ConfigError("config must be a JSON object")
         return cls.from_dict(doc)
-
-    def diffusion_constant(self) -> float:
-        """D from the config, defaulting to hbar / 2m."""
-        return _validate_keys(self).D
 
     def to_dict(self) -> dict:
         doc = {"scenario": self.scenario}
@@ -325,20 +323,18 @@ def _scenario_madelung_compare(p: SimpleNamespace, outdir: Path):
 
 
 def _scenario_twofluid_verify(p: SimpleNamespace, outdir: Path):
-    hbar, m, D = p.hbar, p.m, p.D
+    hbar, m = p.hbar, p.m
 
     # periodized so the density is genuinely smooth across the seam and
     # never reaches the regularization floor anywhere on the grid
     rho = periodic_gaussian_density(p.grid, p.width)
-    two = TwoFluidConfig.make(delta_t=p.delta_t, N_micro=p.n_micro, D=D,
+    two = TwoFluidConfig.make(delta_t=p.delta_t, N_micro=p.n_micro, D=p.D, hbar=hbar, m=m,
                               micro_substeps=p.micro_substeps)
+    D = two.D
     acc = averaged_acceleration(rho, two)
     grad_q = gradient(quantum_potential(rho, hbar, m))
     grad_q_over_m = grad_q.components[0] / m
     rel_err = _rel_l2(acc.components[0], grad_q_over_m)
-
-    force = reaction_force(acc, rho, rho)
-    reaction_err = _rel_l2(force.approx.components[0], -grad_q_over_m)
 
     # fit basis: -grad(lap(sqrt(rho))/sqrt(rho)), i.e. the unit-D reference over 2
     basis = micro_acceleration(rho, 1.0).components[0] / 2.0
@@ -347,10 +343,8 @@ def _scenario_twofluid_verify(p: SimpleNamespace, outdir: Path):
 
     metrics = {
         "rel_err_vs_gradQ": rel_err,
-        "reaction_vs_minus_gradQ": reaction_err,
         "fit_coefficient": c_fit,
         "fit_coefficient_rel_dev": coeff_dev,
-        "reaction_exact_approx_gap": force.max_rel_gap,
     }
     criteria = [
         Criterion("rel_err_vs_gradQ", rel_err, p.tolerances.rel_err),
@@ -398,8 +392,7 @@ def _scenario_equivariance(p: SimpleNamespace, outdir: Path):
         ever_degraded = ever_degraded or result.degraded
         t = c * chunk * dt
         l1 = equivariance_distance(current, timeline.at(t), bins)
-        h_coarse = coarse_grained_H(current, timeline.at(t),
-                                    max(4, grid.points[0] // bins))
+        h_coarse = coarse_grained_H(current, timeline.at(t), p.h_cell)
         rows.append([t, l1, h_coarse])
         l1_max = max(l1_max, l1)
 
@@ -415,7 +408,7 @@ def _scenario_equivariance(p: SimpleNamespace, outdir: Path):
     # trajectories are mutually independent, so replaying a small sample
     # with history reproduces the corresponding members bit for bit
     n_sample = min(100, n_traj)
-    sample_ens = TrajectoryEnsemble(grid=grid, positions=ens.positions[:n_sample], seed=seed)
+    sample_ens = TrajectoryEnsemble(grid=grid, positions=ens.positions[:n_sample])
     sample = propagate_ensemble(sample_ens, timeline, dt, steps).ensemble.history
     traj_rows = []
     for tid in range(n_sample):
@@ -441,7 +434,7 @@ def _scenario_relaxation(p: SimpleNamespace, outdir: Path):
     rng_pos = np.random.default_rng(p.seed)
     positions = rng_pos.uniform(-p.start_half_width, p.start_half_width,
                                 (p.n_trajectories, 2))
-    ens = TrajectoryEnsemble(grid=grid, positions=positions, seed=p.seed)
+    ens = TrajectoryEnsemble(grid=grid, positions=positions)
     timeline = OracleTimeline(psi0, joint, dt, hbar, m)
 
     rows = []
@@ -589,11 +582,11 @@ def _scenario_conditional_pair(p: SimpleNamespace, outdir: Path):
     tl_a = WaveTimeline.from_oracle(a, u1, dt, steps, hbar, m)
     tl_b = WaveTimeline.from_oracle(b, u1, dt, steps, hbar, m)
     single_a = propagate_ensemble(
-        TrajectoryEnsemble(grid=grid1, positions=np.array([pair0.x1]), seed=0),
+        TrajectoryEnsemble(grid=grid1, positions=np.array([pair0.x1])),
         tl_a, dt, steps, record_history=False,
     )
     single_b = propagate_ensemble(
-        TrajectoryEnsemble(grid=grid1, positions=np.array([pair0.x2]), seed=0),
+        TrajectoryEnsemble(grid=grid1, positions=np.array([pair0.x2])),
         tl_b, dt, steps, record_history=False,
     )
     pair_gap = max(
@@ -644,7 +637,8 @@ SCENARIOS = {
 _INTEGER_MINIMUM = {"count": 1, "index": 0, "points": 8, "integer": None}
 _FLOAT_MAX = float(np.finfo(float).max)
 
-# the constants object of every scenario; D defaults to hbar / 2m
+# the constants object of every scenario; a D left out is resolved by
+# TwoFluidConfig.make
 _CONSTANTS = {"hbar": ("positive", 1.0), "m": ("positive", 1.0), "D": ("positive", None),
               "omega": ("positive", 1.0), "lambda": ("real", 1.0)}
 
@@ -769,15 +763,15 @@ def _filled(scenario: str, prefix: str, doc: dict, table: dict, axes=None) -> di
 
 def _validate_keys(cfg: ExperimentConfig) -> SimpleNamespace:
     """The checked values of cfg with every default filled in: the scenario's
-    keys, the constants (D resolved), grid as a GridSpec and tolerances as a
-    namespace. A t_end becomes the step count steps, and checkpoints must
-    divide steps. Any bad key or value is a ConfigError that names it."""
+    keys, the constants, grid as a GridSpec and tolerances as a namespace.
+    A t_end becomes the step count steps, and checkpoints must divide steps.
+    bins and cell_size must make bins the statistics accept, and bins also
+    gives equivariance's H cell h_cell. Any bad key or value is a
+    ConfigError that names it."""
     schema = SCHEMAS[cfg.scenario]
     objects = dict.fromkeys(("constants", "grid", "tolerances"), ("object", {}))
     v = _filled(cfg.scenario, "", cfg.params, {**schema.keys, **objects})
     c = _filled(cfg.scenario, "constants.", v.pop("constants"), _CONSTANTS)
-    if c["D"] is None:
-        c["D"] = c["hbar"] / (2.0 * c["m"])
     extent, points = schema.grid
     g = _filled(cfg.scenario, "grid.", v["grid"],
                 {"extent": ("positive", extent), "points": ("points", points),
@@ -798,6 +792,16 @@ def _validate_keys(cfg: ExperimentConfig) -> SimpleNamespace:
     if "checkpoints" in v and v["steps"] % v["checkpoints"]:
         raise ConfigError(f"config key 'checkpoints' ({v['checkpoints']}) must divide "
                           f"steps ({v['steps']}); the last steps would go unchecked")
+    # the statistics' own checks, so that bins they reject stop the run
+    # before any work rather than at its first checkpoint
+    for key in {"bins", "cell_size"} & v.keys():
+        try:
+            if key == "bins":  # equivariance's H cells span one bin, at least 4 spacings
+                _checked_bins(v["grid"], v["bins"])
+                v["h_cell"] = max(4, v["grid"].points[0] // v["bins"])
+            _coarse_bins(v["grid"], v["h_cell" if key == "bins" else key])
+        except ConfigError as exc:
+            raise ConfigError(f"config key {key!r} ({v[key]}): {exc}") from None
     return SimpleNamespace(**v, **c)
 
 

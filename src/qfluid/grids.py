@@ -29,7 +29,13 @@ __all__ = [
     "integrate",
     "sample_at",
     "complex_gradient",
+    "DENSITY_FLOOR_FRACTION",
 ]
+
+# The one density floor, as a fraction of a field's peak density: every ratio
+# over |psi|^2, rho or sigma (guiding velocities, Q, the osmotic velocity, the
+# two-fluid reaction) and the polar node mask regularize at this fraction.
+DENSITY_FLOOR_FRACTION = 1e-12
 
 # Fractional-cell tolerance below which a sample point is snapped onto the
 # node, so values at grid nodes are reproduced exactly.

@@ -30,17 +30,17 @@ import numpy as np
 
 from .errors import StabilityError
 from .grids import (
+    DENSITY_FLOOR_FRACTION,
     GridSpec,
     ScalarField,
     VectorField,
     WaveField,
-    complex_gradient,
     divergence,
     fd_derivative,
     fd_second_derivative,
     laplacian,
 )
-from .oracle import Potential
+from .oracle import Potential, probability_current
 
 __all__ = [
     "MadelungState",
@@ -56,27 +56,24 @@ __all__ = [
     "cfl_limit",
 ]
 
-# Density floor as a fraction of max(rho): below it the polar variables are
-# node-contaminated; residual metrics keep rho > RESIDUAL_REGION_FACTOR x floor.
-DENSITY_FLOOR_FRACTION = 1e-12
+# Below the density floor (grids.DENSITY_FLOOR_FRACTION of max(rho)) the polar
+# variables are node-contaminated; residual metrics keep rho >
+# RESIDUAL_REGION_FACTOR x floor.
 RESIDUAL_REGION_FACTOR = 1e3
 # the explicit (g, S) integrator's step bound, as a fraction of h^2 m / hbar
 CFL_SAFETY = 0.5
 
 
 def velocity_from_wave(psi: WaveField, hbar: float = 1.0, m: float = 1.0) -> VectorField:
-    """(hbar/m) Im(grad psi / psi) with a floored denominator.
+    """The probability current over a floored density, j / hypot(|psi|^2, floor).
 
     Computed from psi itself, which is periodic even when the phase winds,
     so the spectral gradient applies.
     """
     rho = np.abs(psi.values) ** 2
     floored = np.hypot(rho, DENSITY_FLOOR_FRACTION * rho.max())
-    grads = complex_gradient(psi)
-    comps = tuple(
-        (hbar / m) * np.imag(np.conj(psi.values) * g) / floored for g in grads
-    )
-    return VectorField(psi.grid, comps)
+    j = probability_current(psi, hbar, m)
+    return VectorField(psi.grid, tuple(c / floored for c in j.components))
 
 
 @dataclass(frozen=True)
@@ -166,10 +163,17 @@ def quantum_potential(rho: ScalarField, hbar: float = 1.0, m: float = 1.0) -> Sc
     stencil-width around its boundary are not meaningful; downstream
     consumers mask them.
     """
+    lap, r_safe = _sqrt_laplacian(rho)
+    return ScalarField(rho.grid, -(hbar**2) / (2.0 * m) * lap / r_safe)
+
+
+def _sqrt_laplacian(rho: ScalarField) -> tuple[np.ndarray, np.ndarray]:
+    """laplacian(sqrt(rho)) and the floored denominator max(sqrt(rho),
+    sqrt(floor * max(rho))): the two halves of the ratio in Q and in the
+    two-fluid acceleration, which each divide in their own order."""
     r = np.sqrt(np.maximum(rho.values, 0.0))
     r_safe = np.maximum(r, np.sqrt(DENSITY_FLOOR_FRACTION * rho.values.max()))
-    lap = laplacian(ScalarField(rho.grid, r)).values
-    return ScalarField(rho.grid, -(hbar**2) / (2.0 * m) * lap / r_safe)
+    return laplacian(ScalarField(rho.grid, r)).values, r_safe
 
 
 @dataclass(frozen=True)

@@ -27,14 +27,15 @@ import numpy as np
 
 from .errors import ConfigError, StabilityError
 from .grids import (
+    DENSITY_FLOOR_FRACTION,
     GridSpec,
     ScalarField,
     VectorField,
     fd_derivative,
     fd_second_derivative,
     gradient,
-    laplacian,
 )
+from .madelung import _sqrt_laplacian
 
 __all__ = [
     "TwoFluidConfig",
@@ -46,8 +47,6 @@ __all__ = [
     "averaged_acceleration",
     "reaction_force",
 ]
-
-SIGMA_FLOOR_FRACTION = 1e-12
 
 
 @dataclass(frozen=True)
@@ -101,7 +100,7 @@ def fluid2_velocity(sigma: ScalarField, D: float) -> VectorField:
     tail stays relative to the local density; spectral differencing here
     would flood the tail with its absolute noise floor.
     """
-    floor = SIGMA_FLOOR_FRACTION * sigma.values.max()
+    floor = DENSITY_FLOOR_FRACTION * sigma.values.max()
     safe = np.maximum(sigma.values, floor)
     grid = sigma.grid
     comps = tuple(
@@ -159,11 +158,8 @@ def micro_acceleration(sigma: ScalarField, D: float) -> VectorField:
     Evaluated on a static carrier rho this is the window-average limit and,
     for D = hbar/2m, equals grad(Q)/m from the quantum potential of rho.
     """
-    sig = sigma.values
-    r = np.sqrt(np.maximum(sig, 0.0))
-    r_safe = np.maximum(r, np.sqrt(SIGMA_FLOOR_FRACTION * sig.max()))
-    ratio = laplacian(ScalarField(sigma.grid, r)).values / r_safe
-    grad_ratio = gradient(ScalarField(sigma.grid, ratio))
+    lap, r_safe = _sqrt_laplacian(sigma)
+    grad_ratio = gradient(ScalarField(sigma.grid, lap / r_safe))
     return VectorField(
         sigma.grid,
         tuple(-2.0 * D**2 * c for c in grad_ratio.components),
@@ -243,7 +239,7 @@ def reaction_force(avg_accel: VectorField, sigma: ScalarField,
     pins sigma to rho there anyway, and dividing two vanishing densities
     would turn protection noise into spurious force structure.
     """
-    floor = SIGMA_FLOOR_FRACTION * rho.values.max()
+    floor = DENSITY_FLOOR_FRACTION * rho.values.max()
     weight = np.where(
         rho.values > floor,
         np.maximum(sigma.values, 0.0) / np.maximum(rho.values, floor),

@@ -275,7 +275,7 @@ class TestPairTransport:
         singles = []
         for psi0, x0 in ((a, -2.2), (b, 2.8)):
             tl = WaveTimeline.from_oracle(psi0, u1, dt, steps)
-            ens = TrajectoryEnsemble(grid=line, positions=np.array([x0]), seed=0)
+            ens = TrajectoryEnsemble(grid=line, positions=np.array([x0]))
             singles.append(
                 propagate_ensemble(ens, tl, dt, steps,
                                    record_history=False).ensemble.positions[0]

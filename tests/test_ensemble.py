@@ -27,7 +27,6 @@ from qfluid.oracle import (
 )
 from qfluid import ensemble as ensemble_module
 from qfluid.ensemble import (
-    HistogramGrid,
     NodeEvents,
     OracleTimeline,
     TrajectoryEnsemble,
@@ -36,7 +35,6 @@ from qfluid.ensemble import (
     bootstrap_coarse_H,
     coarse_grained_H,
     equivariance_distance,
-    guiding_velocity,
     ks_statistic,
     propagate_ensemble,
     sample_equilibrium,
@@ -51,32 +49,32 @@ def static_timeline(psi, dt, steps):
 class TestGuidingVelocity:
     def test_real_gaussian_is_zero(self, grid512):
         psi = gaussian_packet(grid512, 1.0)
-        v = guiding_velocity(psi, np.array([-3.0, 0.1, 2.7]))
+        v = VelocityField(psi).at(np.array([-3.0, 0.1, 2.7]))
         assert np.abs(v).max() == 0.0
 
     def test_plane_wave_uniform_drift(self, grid512):
         mode = 3
         psi = plane_wave(grid512, mode)
         k = 2 * np.pi * mode / grid512.extent[0]
-        v = guiding_velocity(psi, np.array([-5.0, 0.0, 4.4, 11.9]))
+        v = VelocityField(psi).at(np.array([-5.0, 0.0, 4.4, 11.9]))
         assert np.abs(v - k).max() <= 1e-12
 
     def test_coherent_state_velocity(self, grid512):
         # at the classical turning point the packet is momentarily at rest
         psi = coherent_state(grid512, 1.0, 2.0, t=0.0)
-        v = guiding_velocity(psi, np.array([2.0, 1.5, 2.5]))
+        v = VelocityField(psi).at(np.array([2.0, 1.5, 2.5]))
         assert np.abs(v).max() <= 1e-4
         t = 0.9
         psi_t = coherent_state(grid512, 1.0, 2.0, t=t)
         pc = -2.0 * np.sin(t)
-        v_t = guiding_velocity(psi_t, np.array([2.0 * np.cos(t)]))
+        v_t = VelocityField(psi_t).at(np.array([2.0 * np.cos(t)]))
         assert abs(v_t[0] - pc) <= 5e-3  # interpolation-order agreement
 
     def test_matches_decomposed_velocity_field(self, grid512):
         psi = coherent_state(grid512, 1.0, 2.0, t=0.4)
         field = velocity_from_wave(psi)
         pts = np.linspace(-3.0, 3.0, 11)
-        direct = guiding_velocity(psi, pts)
+        direct = VelocityField(psi).at(pts)
         sampled = sample_at(field, pts)[..., 0]
         # interpolation-order agreement between the two evaluation routes
         assert np.abs(direct - sampled).max() <= 5e-3
@@ -86,7 +84,7 @@ class TestGuidingVelocity:
         pairs = stationary_states(Potential.harmonic(grid512, 1.0), 2)
         psi = pairs[1][1]
         events = NodeEvents()
-        v = guiding_velocity(psi, np.array([0.0]), events=events)
+        v = VelocityField(psi).at(np.array([0.0]), events)
         v_max = np.pi / grid512.spacing[0]
         assert abs(v[0]) <= v_max + 1e-12
         assert events.capped >= 1
@@ -109,7 +107,7 @@ class TestPropagation:
         # a frozen plane wave is its own evolution up to a global phase,
         # so the drift velocity is exact
         x0 = np.array([-5.0, 0.0, 3.3])
-        ens = TrajectoryEnsemble(grid=grid512, positions=x0, seed=0)
+        ens = TrajectoryEnsemble(grid=grid512, positions=x0)
         res = propagate_ensemble(ens, tl, dt, steps)
         expected = grid512.wrap(x0 + k * steps * dt, 0)
         assert np.abs(res.ensemble.positions - expected).max() <= 1e-9
@@ -142,7 +140,7 @@ class TestPropagation:
         cdf /= cdf[-1]
         edges = grid512.origin[0] + h * (np.arange(grid512.points[0] + 1) - 0.5)
         x0 = np.interp((np.arange(64) + 0.5) / 64, cdf, edges)
-        ens = TrajectoryEnsemble(grid=grid512, positions=x0, seed=0)
+        ens = TrajectoryEnsemble(grid=grid512, positions=x0)
         res = propagate_ensemble(ens, tl, dt, steps)
         for row in res.ensemble.history[:: steps // 100]:
             assert (np.diff(row) > 0).all(), "trajectory ordering broke"
@@ -152,7 +150,7 @@ class TestPropagation:
         pairs = stationary_states(harmonic512, 2)
         psi = pairs[1][1]
         tl = static_timeline(psi, 0.001, 3)
-        ens = TrajectoryEnsemble(grid=grid512, positions=np.zeros(10), seed=0)
+        ens = TrajectoryEnsemble(grid=grid512, positions=np.zeros(10))
         res = propagate_ensemble(ens, tl, 0.001, 3)
         assert res.events.capped > 0
         assert res.degraded
@@ -178,7 +176,7 @@ class TestPropagation:
         clear = NodeEvents()
         field.at(np.array([hi]), clear)
         assert clear.capped == 0
-        ens = TrajectoryEnsemble(grid=grid512, positions=np.array([hi]), seed=0)
+        ens = TrajectoryEnsemble(grid=grid512, positions=np.array([hi]))
         res = propagate_ensemble(ens, static_timeline(psi, dt, 1), dt, 1)
         assert res.events.capped >= 1
         assert res.capped_trajectories == 1
@@ -273,7 +271,7 @@ class TestEquivariance:
         n = 100000
         quantiles = (np.arange(n) + 0.5) / n
         positions = np.interp(quantiles, cdf, edges)
-        ens = TrajectoryEnsemble(grid=grid512, positions=positions, seed=0)
+        ens = TrajectoryEnsemble(grid=grid512, positions=positions)
         assert equivariance_distance(ens, ground512, 64) <= 64 / n + 1e-3
 
     def test_wrong_ensemble_far_from_density(self):
@@ -283,7 +281,7 @@ class TestEquivariance:
         psi = gaussian_packet(grid, s)
         rng = np.random.default_rng(0)
         uniform_positions = rng.uniform(-8.0, 8.0, 100000)
-        ens = TrajectoryEnsemble(grid=grid, positions=uniform_positions, seed=0)
+        ens = TrajectoryEnsemble(grid=grid, positions=uniform_positions)
         l1 = equivariance_distance(ens, psi, 64)
         # quadrature value of the L1 gap between the two explicit densities
         mid = grid.axis(0)
@@ -308,13 +306,13 @@ class TestCoarseGrainedH:
         edges = grid512.origin[0] + h * (np.arange(grid512.points[0] + 1) - 0.5)
         n = 200000
         positions = np.interp((np.arange(n) + 0.5) / n, cdf, edges)
-        ens = TrajectoryEnsemble(grid=grid512, positions=positions, seed=0)
+        ens = TrajectoryEnsemble(grid=grid512, positions=positions)
         assert coarse_grained_H(ens, ground512, 8) <= 1e-3
 
     def test_gibbs_inequality(self, grid512, ground512):
         rng = np.random.default_rng(5)
         ens = TrajectoryEnsemble(
-            grid=grid512, positions=rng.uniform(-4, 4, 20000), seed=5
+            grid=grid512, positions=rng.uniform(-4, 4, 20000)
         )
         assert coarse_grained_H(ens, ground512, 8) > 0.1
 
@@ -330,31 +328,41 @@ class TestCoarseGrainedH:
         assert hi - lo <= 0.05
 
 
+def _rehistogram(grid, pos, bins):
+    """Reference: histogram density of positions on node-centered bins, by
+    np.histogram / np.histogram2d, and the bin volume."""
+    lows = [grid.origin[i] - grid.spacing[i] / 2 for i in range(grid.dims)]
+    edges = [lows[i] + (grid.extent[i] / bins[i]) * np.arange(bins[i] + 1)
+             for i in range(grid.dims)]
+    if grid.dims == 1:
+        wrapped = lows[0] + np.mod(pos - lows[0], grid.extent[0])
+        counts, _ = np.histogram(wrapped, bins=edges[0])
+    else:
+        wx = lows[0] + np.mod(pos[:, 0] - lows[0], grid.extent[0])
+        wy = lows[1] + np.mod(pos[:, 1] - lows[1], grid.extent[1])
+        counts, _, _ = np.histogram2d(wx, wy, bins=edges)
+    counts = counts.astype(float)
+    bin_volume = float(np.prod([L / b for L, b in zip(grid.extent, bins)]))
+    return counts / (counts.sum() * bin_volume), bin_volume
+
+
+def _bin_mean(psi, bins):
+    """Reference: |psi|^2 averaged over the bins."""
+    grid, rho = psi.grid, psi.density().values
+    if grid.dims == 1:
+        return rho.reshape(bins[0], -1).mean(axis=1)
+    return rho.reshape(bins[0], grid.points[0] // bins[0],
+                       bins[1], grid.points[1] // bins[1]).mean(axis=(1, 3))
+
+
 def _bootstrap_by_rehistogram(ens, psi, cell_size, n_boot, seed):
     """Reference: the bootstrap as a full re-histogram of every resample."""
     grid = ens.grid
     bins = tuple(n // cell_size for n in grid.points)
-    lows = [grid.origin[i] - grid.spacing[i] / 2 for i in range(grid.dims)]
-    edges = [lows[i] + (grid.extent[i] / bins[i]) * np.arange(bins[i] + 1)
-             for i in range(grid.dims)]
-    rho = psi.density().values
-    if grid.dims == 1:
-        rho_bar = rho.reshape(bins[0], -1).mean(axis=1)
-    else:
-        rho_bar = rho.reshape(bins[0], grid.points[0] // bins[0],
-                              bins[1], grid.points[1] // bins[1]).mean(axis=(1, 3))
-    bin_volume = float(np.prod([L / b for L, b in zip(grid.extent, bins)]))
+    rho_bar = _bin_mean(psi, bins)
 
     def coarse_H(pos):
-        if grid.dims == 1:
-            wrapped = lows[0] + np.mod(pos - lows[0], grid.extent[0])
-            counts, _ = np.histogram(wrapped, bins=edges[0])
-        else:
-            wx = lows[0] + np.mod(pos[:, 0] - lows[0], grid.extent[0])
-            wy = lows[1] + np.mod(pos[:, 1] - lows[1], grid.extent[1])
-            counts, _, _ = np.histogram2d(wx, wy, bins=edges)
-        counts = counts.astype(float)
-        p_bar = counts / (counts.sum() * bin_volume)
+        p_bar, bin_volume = _rehistogram(grid, pos, bins)
         mask = p_bar > 0
         ratio = p_bar[mask] / np.maximum(rho_bar[mask], 1e-300)
         return float(np.sum(p_bar[mask] * np.log(ratio)) * bin_volume)
@@ -365,6 +373,12 @@ def _bootstrap_by_rehistogram(ens, psi, cell_size, n_boot, seed):
                for _ in range(n_boot)]
     lo, hi = np.percentile(samples, [2.5, 97.5])
     return coarse_H(ens.positions), float(lo), float(hi)
+
+
+def _l1_by_rehistogram(ens, psi, bins):
+    """Reference: equivariance_distance by np.histogram."""
+    p_bar, bin_volume = _rehistogram(ens.grid, ens.positions, bins)
+    return float(np.sum(np.abs(p_bar - _bin_mean(psi, bins))) * bin_volume)
 
 
 def _on_last_edge(grid, axis):
@@ -380,10 +394,12 @@ def test_bootstrap_matches_rehistogram_1d(grid512, ground512):
     positions = rng.normal(0.0, 1.3, 3000)
     positions[:3] = [_on_last_edge(grid512, 0), 40.0, -30.0]
     positions[3:8] = -12.0 - grid512.spacing[0] / 2 + 3.0 * np.arange(1, 6)  # bin edges
-    ens = TrajectoryEnsemble(grid=grid512, positions=positions, seed=0)
+    ens = TrajectoryEnsemble(grid=grid512, positions=positions)
     got = bootstrap_coarse_H(ens, ground512, 8, n_boot=60, seed=4)
-    assert got == _bootstrap_by_rehistogram(ens, ground512, 8, 60, 4)
-    assert got[0] == coarse_grained_H(ens, ground512, 8)
+    ref = _bootstrap_by_rehistogram(ens, ground512, 8, 60, 4)
+    assert got == ref
+    assert coarse_grained_H(ens, ground512, 8) == ref[0]
+    assert equivariance_distance(ens, ground512, 64) == _l1_by_rehistogram(ens, ground512, (64,))
 
 
 def test_bootstrap_matches_rehistogram_2d():
@@ -397,17 +413,19 @@ def test_bootstrap_matches_rehistogram_2d():
     positions[2] = (12.5, -31.0)
     positions[3:8, 0] = -10.0 - grid.spacing[0] / 2 + 1.25 * np.arange(5, 10)  # bin edges
     positions[3:8, 1] = -10.0 - grid.spacing[1] / 2 + 1.25 * np.arange(6, 11)
-    ens = TrajectoryEnsemble(grid=grid, positions=positions, seed=0)
+    ens = TrajectoryEnsemble(grid=grid, positions=positions)
     got = bootstrap_coarse_H(ens, psi, 8, n_boot=60, seed=6)
-    assert got == _bootstrap_by_rehistogram(ens, psi, 8, 60, 6)
-    assert got[0] == coarse_grained_H(ens, psi, 8)
+    ref = _bootstrap_by_rehistogram(ens, psi, 8, 60, 6)
+    assert got == ref
+    assert coarse_grained_H(ens, psi, 8) == ref[0]
+    assert equivariance_distance(ens, psi, (16, 8)) == _l1_by_rehistogram(ens, psi, (16, 8))
 
 
 def test_histogram_density_normalized():
     grid = GridSpec.regular(16.0, 256)
     rng = np.random.default_rng(9)
-    hist = HistogramGrid.from_positions(grid, rng.uniform(0, 16, 5000), 64)
-    total = hist.density.sum() * hist.bin_volume
+    density = ensemble_module._binned_density(grid, rng.uniform(0, 16, 5000), (64,))
+    total = density.sum() * ensemble_module._bin_volume(grid, (64,))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -708,7 +726,7 @@ def test_blocked_transport_equals_whole_array_loop(dims, size):
     positions[on_node, 0] = 0.0
     if dims == 1:
         positions = positions[:, 0]
-    ens = TrajectoryEnsemble(grid=grid, positions=positions, seed=0)
+    ens = TrajectoryEnsemble(grid=grid, positions=positions)
     res = propagate_ensemble(ens, timeline, dt, steps)
     x, history, events = _whole_array_rk4(ens, timeline, dt, steps)
     assert np.array_equal(res.ensemble.positions, x)
@@ -804,7 +822,7 @@ def _forked_case(dims):
     positions[::997, 0] = 0.0
     if dims == 1:
         positions = positions[:, 0]
-    return TrajectoryEnsemble(grid=grid, positions=positions, seed=0), timeline, dt, steps
+    return TrajectoryEnsemble(grid=grid, positions=positions), timeline, dt, steps
 
 
 def _on_cpus(monkeypatch, cpus):

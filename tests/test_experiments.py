@@ -6,7 +6,7 @@ import pytest
 
 from qfluid.cli import main as cli_main
 from qfluid.errors import ConfigError, QFluidError
-from qfluid import experiments
+from qfluid import experiments, oracle
 from qfluid.experiments import (
     Criterion,
     ExperimentConfig,
@@ -16,6 +16,7 @@ from qfluid.experiments import (
     run,
     sweep,
 )
+from qfluid.twofluid import TwoFluidConfig
 
 
 def fast_config(**extra):
@@ -39,11 +40,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             ExperimentConfig.from_json(path)
 
-    def test_diffusion_default_is_hbar_over_2m(self):
-        cfg = fast_config(constants={"hbar": 2.0, "m": 4.0})
-        assert cfg.diffusion_constant() == pytest.approx(0.25)
-        cfg2 = fast_config(constants={"D": 0.75})
-        assert cfg2.diffusion_constant() == 0.75
+    def test_diffusion_default_is_hbar_over_2m(self, tmp_path):
+        assert TwoFluidConfig.make(delta_t=1e-4, N_micro=16, hbar=2.0, m=4.0).D == 0.25
+        assert TwoFluidConfig.make(delta_t=1e-4, N_micro=16, D=0.75, hbar=2.0).D == 0.75
+        # the D the scenario ran with, as convergence.csv echoes it
+        for constants, D in (({"hbar": 2.0, "m": 4.0}, 0.25), ({"D": 0.75}, 0.75)):
+            run(fast_config(constants=constants), tmp_path / str(D))
+            header, row = (tmp_path / str(D) / "convergence.csv").read_text().splitlines()
+            assert float(row.split(",")[header.split(",").index("D")]) == D
 
     def test_round_trip_dict(self):
         cfg = fast_config(delta_t=5e-5, output_dir="x")
@@ -385,6 +389,41 @@ class TestCli:
         err = self.assert_config_error(tmp_path, capsys, doc)
         assert f"config key {key!r} must be at least 8" in err
         assert not (tmp_path / "out").exists()
+
+    @pytest.fixture
+    def no_eigensolve(self, monkeypatch):
+        def fail(*args, **kwargs):
+            raise AssertionError("an eigensolve ran before the config was checked")
+        monkeypatch.setattr(experiments, "stationary_states", fail)
+        monkeypatch.setattr(oracle, "stationary_states", fail)
+
+    @pytest.mark.parametrize("doc, key", [
+        ({"scenario": "equivariance", "bins": 60}, "bins"),
+        # 18 bins divide 18 points, but their H cells of 4 spacings do not
+        ({"scenario": "equivariance", "bins": 18, "grid": {"points": 18}}, "bins"),
+        ({"scenario": "relaxation", "cell_size": 2}, "cell_size"),
+        ({"scenario": "relaxation", "cell_size": 6}, "cell_size"),
+        ({"scenario": "relaxation", "cell_size": 200}, "cell_size"),
+    ], ids=["bins-not-dividing", "h-cells-not-dividing", "cell-under-four",
+            "cell-not-dividing", "cell-over-the-grid"])
+    def test_bins_the_statistics_reject_exit_two_before_any_run(
+            self, tmp_path, capsys, no_eigensolve, doc, key):
+        # each used to fail only at the first checkpoint, after the
+        # eigensolves and the transport, and writing nothing; a cell wider
+        # than the grid raised ZeroDivisionError
+        err = self.assert_config_error(tmp_path, capsys, doc)
+        assert f"config key {key!r} ({doc[key]}): " in err
+        assert not (tmp_path / "out").exists()
+
+    def test_sweep_bins_the_statistics_reject_exit_two_before_any_run(
+            self, tmp_path, capsys, no_eigensolve):
+        out_dir = tmp_path / "runs"
+        cfg = self.write_config(tmp_path, {
+            "scenario": "equivariance", "n_trajectories": 100, "steps": 20,
+            "checkpoints": 1, "output_dir": str(out_dir)})
+        assert cli_main(["sweep", cfg, "--param", "bins", "--values", "32,60,64"]) == 2
+        assert "config key 'bins' (60): 60 bins do not divide 512" in capsys.readouterr().err
+        assert not out_dir.exists()
 
     def test_sweep_fractional_bins_exit_two_before_any_run(self, tmp_path, capsys):
         out_dir = tmp_path / "runs"

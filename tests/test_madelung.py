@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import field_l2, phase_aligned_l2
 from qfluid.errors import StabilityError
+from qfluid import grids, madelung
 from qfluid.grids import GridSpec, ScalarField, WaveField, fd_derivative
 from qfluid.madelung import (
     MadelungState,
@@ -15,6 +16,7 @@ from qfluid.madelung import (
     quantum_potential,
     recompose,
     residuals_from_snapshots,
+    velocity_from_wave,
 )
 from qfluid.oracle import (
     Potential,
@@ -24,7 +26,9 @@ from qfluid.oracle import (
     gaussian_packet,
     harmonic_ground_state,
     plane_wave,
+    probability_current,
     split_step_evolve,
+    stationary_states,
 )
 
 
@@ -69,6 +73,17 @@ class TestDecompose:
         region = state.rho.values > 1e-6 * state.rho.values.max()
         err = np.sqrt(np.mean((state.v.components[0][region] - pc) ** 2))
         assert err <= 1e-6
+
+    def test_velocity_is_current_over_floored_density(self, grid512):
+        assert madelung.DENSITY_FLOOR_FRACTION is grids.DENSITY_FLOOR_FRACTION
+        # the first excited state's node puts points under the floor
+        pairs = stationary_states(Potential.harmonic(grid512, 1.0), 2)
+        for psi in (coherent_state(grid512, 1.0, 2.0, 0.4), pairs[1][1]):
+            rho = np.abs(psi.values) ** 2
+            floored = np.hypot(rho, grids.DENSITY_FLOOR_FRACTION * rho.max())
+            j = probability_current(psi, 1.3, 0.7).components[0]
+            assert np.array_equal(velocity_from_wave(psi, 1.3, 0.7).components[0],
+                                  j / floored)
 
     def test_round_trip_up_to_global_phase(self, grid512):
         psi = coherent_state(grid512, 1.0, 2.0, 0.4)

@@ -248,6 +248,18 @@ class TestReactionForce:
         assert force.max_rel_gap == 0.0
         assert np.array_equal(force.exact.components[0], force.approx.components[0])
 
+    def test_gap_to_diffused_sigma_halves_with_delta_t(self, rho):
+        # sigma is the carrier diffused through one micro interval, so
+        # sigma / rho - 1 and with it the exact-approx gap are O(delta_t)
+        gaps = []
+        for delta_t in (2e-4, 1e-4, 5e-5, 2.5e-5):
+            cfg = TwoFluidConfig.make(delta_t=delta_t, N_micro=16)
+            sigma = fluid2_microstep(rho, delta_t, cfg.D)
+            gaps.append(reaction_force(averaged_acceleration(rho, cfg), sigma, rho).max_rel_gap)
+        assert 3e-3 <= gaps[0] <= 4e-3, gaps
+        ratios = np.array(gaps[:-1]) / np.array(gaps[1:])
+        assert np.abs(ratios - 2.0).max() <= 1e-2, ratios
+
     def test_opposes_quantum_force(self, rho_grid, rho):
         cfg = TwoFluidConfig.make(delta_t=1e-4, N_micro=16)
         acc = averaged_acceleration(rho, cfg)
