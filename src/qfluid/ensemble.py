@@ -56,6 +56,9 @@ DEGRADED_CAP_FRACTION = 1e-3
 # trajectories per block of RK4 transport: a block's stage temporaries stay
 # in a 2 MB per-core L2 cache (4096 to 32768 measured; see CHANGES.md)
 _BLOCK = 8192
+# the wave fields one RK4 step reads (t, t + dt/2, t + dt): what a timeline
+# keeps of its fields and velocity fields
+_RK4_FIELDS = 3
 
 
 @dataclass(frozen=True)
@@ -63,7 +66,8 @@ class TrajectoryEnsemble:
     """Particle positions with optional history.
 
     positions has shape (n,) in 1D or (n, 2) in 2D; history, when recorded,
-    has shape (steps + 1, n[, 2]) including the initial positions.
+    has shape (steps + 1, k[, 2]) for the first k trajectories, including
+    their initial positions.
     """
 
     grid: GridSpec
@@ -380,8 +384,8 @@ class WaveTimeline:
 
     Entry j holds psi at t0 + j * (dt/2), which is exactly the set of times
     an RK4 trajectory step of size dt needs. Velocity data per entry is
-    built lazily and only a few entries stay cached, since access is
-    sequential.
+    built lazily and only the three entries one step reads stay cached, so
+    sequential access builds each entry once.
     """
 
     def __init__(self, t0: float, half_dt: float, fields: list[WaveField],
@@ -428,7 +432,7 @@ class WaveTimeline:
     def velocity(self, t: float) -> VelocityField:
         j = self.index_of(t)
         if j not in self._cache:
-            if len(self._cache) > 4:
+            if len(self._cache) >= _RK4_FIELDS:
                 self._cache.pop(next(iter(self._cache)))
             self._cache[j] = VelocityField(self.fields[j], self.hbar, self.m)
         return self._cache[j]
@@ -438,15 +442,15 @@ class OracleTimeline:
     """Streaming counterpart of WaveTimeline for grids too large to store.
 
     Advances the split-operator propagator lazily on the same half-step
-    lattice and keeps a short sliding window of velocity fields. Time
-    requests must move forward (RK4 sub-stage order is fine); rewinding
-    past the window raises. Determinism is unchanged: the split-step
-    sequence is identical to the stored variant.
+    lattice and keeps the latest _RK4_FIELDS fields and their velocity
+    fields, the three one RK4 step reads. Time requests must move forward
+    (RK4 sub-stage order is fine); rewinding past them raises. Determinism
+    is unchanged: the split-step sequence is identical to the stored
+    variant.
     """
 
     def __init__(self, psi0: WaveField, potential: Potential, dt: float,
-                 hbar: float = 1.0, m: float = 1.0, t0: float = 0.0,
-                 window: int = 6):
+                 hbar: float = 1.0, m: float = 1.0, t0: float = 0.0):
         self.t0 = t0
         self.half_dt = dt / 2.0
         self.hbar = hbar
@@ -454,7 +458,6 @@ class OracleTimeline:
         self.potential = potential
         self._state = PropagatorState(psi0, t0, self.half_dt, hbar, m)
         self._index = 0
-        self._window = window
         self._fields: dict[int, WaveField] = {0: psi0}
         self._velocities: dict[int, VelocityField] = {}
 
@@ -479,7 +482,7 @@ class OracleTimeline:
             self._state = split_step_evolve(self._state, self.potential, 1)
             self._index += 1
             self._fields[self._index] = self._state.psi
-            for old in [k for k in self._fields if k <= self._index - self._window]:
+            for old in [k for k in self._fields if k <= self._index - _RK4_FIELDS]:
                 self._fields.pop(old)
                 self._velocities.pop(old, None)
 
@@ -530,7 +533,7 @@ class PropagationResult:
 
 def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
                        dt: float, steps: int,
-                       record_history: bool = True,
+                       record_history: bool | int = True,
                        t_start: float | None = None) -> PropagationResult:
     """Classic RK4 transport of all trajectories through the timeline.
 
@@ -549,12 +552,17 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
     more than 0.1% of trajectories ever do are marked degraded and should be
     excluded from acceptance statistics. t_start defaults to the timeline
     origin; pass a later lattice time to continue a previous propagation.
+    record_history is True (every trajectory), False (none) or an int n:
+    the history of the first n trajectories only. Any other value, a numpy
+    bool included, is a ConfigError, so a flag is never read as a count.
 
-    Over a stored WaveTimeline and without a history, an ensemble of at
-    least two blocks per CPU of the affinity mask is transported in forked
-    processes, one contiguous share of whole blocks per CPU
-    (_forked_transport), bit-identical to the serial loop. Over a streaming
-    timeline every process would repeat each split step, so it stays serial.
+    Over a stored WaveTimeline, an ensemble of at least two blocks per CPU
+    of the affinity mask is transported in forked processes, one contiguous
+    share of whole blocks per CPU (_forked_transport), bit-identical to the
+    serial loop. The parent's share comes first and holds at least two
+    blocks, so it records any history of up to 2 * _BLOCK trajectories; a
+    longer one stays serial, as does a streaming timeline, since every
+    process would repeat each split step.
     """
     if timeline.grid != ens.grid:
         raise GridMismatchError("ensemble and timeline grids differ")
@@ -562,13 +570,20 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
         raise ConfigError("timeline half-step must equal dt/2")
     x = np.array(ens.positions, dtype=float)
     events = _TrajectoryEvents(ever_capped=np.zeros(ens.size, dtype=bool))
-    history = [x.copy()] if record_history else None
+    if isinstance(record_history, bool):
+        keep = ens.size
+    elif isinstance(record_history, (int, np.integer)) and 0 <= record_history <= ens.size:
+        keep = int(record_history)
+    else:
+        raise ConfigError(f"record_history={record_history!r} is neither a bool nor "
+                          f"a count of 0 to {ens.size} trajectories")
+    history = [x[:keep].copy()] if record_history else None
     t = timeline.t0 if t_start is None else t_start
     blocks = [slice(lo, lo + _BLOCK) for lo in range(0, ens.size, _BLOCK)]
     shares = _shares(ens.size) if isinstance(timeline, WaveTimeline) else 1
-    if history is None and shares > 1:
+    if shares > 1 and (history is None or len(history[0]) <= 2 * _BLOCK):
         _forked_transport(x, ens.positions, blocks, shares, timeline, dt, steps, t,
-                          events)
+                          events, history)
     else:
         _rk4(x, blocks, timeline, dt, steps, t, events, history)
 
@@ -576,7 +591,7 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
     out = replace(
         ens,
         positions=x,
-        history=np.array(history) if record_history else None,
+        history=None if history is None else np.array(history),
     )
     return PropagationResult(
         ensemble=out,
@@ -590,8 +605,8 @@ def _rk4(x: np.ndarray, blocks: list[slice], timeline, dt: float, steps: int, t:
          events: _TrajectoryEvents, history: list | None = None):
     """The serial block loop: `steps` RK4 steps from time t of the
     trajectories in blocks of x, in place, counting into events (whose
-    ever_capped is indexed like x) and appending a copy of x to history
-    after each step."""
+    ever_capped is indexed like x) and appending to history a copy of the
+    first len(history[0]) trajectories after each step."""
     grid = timeline.grid
     for n in range(steps):
         v0 = timeline.velocity(t)
@@ -608,7 +623,7 @@ def _rk4(x: np.ndarray, blocks: list[slice], timeline, dt: float, steps: int, t:
                                  exact=True)
         t += dt
         if history is not None:
-            history.append(x.copy())
+            history.append(x[:len(history[0])].copy())
 
 
 def _shares(n: int) -> int:
@@ -623,13 +638,14 @@ def _shares(n: int) -> int:
 
 def _forked_transport(x: np.ndarray, initial: np.ndarray, blocks: list[slice],
                       shares: int, timeline, dt: float, steps: int, t: float,
-                      events: _TrajectoryEvents):
+                      events: _TrajectoryEvents, history: list | None = None):
     """_rk4 over all blocks of x, one contiguous share of blocks per process.
 
     The parent forks one worker per share after the first and runs the
-    first share itself. Each worker sends its two event counts, positions
-    and ever-capped flags through a pipe, which the parent reads straight
-    into x and events before it reaps the worker, so no page is added to
+    first share itself, with the history, which must lie in that share.
+    Each worker sends its two event counts, positions and ever-capped flags
+    through a pipe, which the parent reads straight into x and events
+    before it reaps the worker, so no page is added to
     the parent's memory, as a shared result buffer would. A worker leaves
     by os._exit, so no atexit handler runs and no stdio buffer is flushed
     twice. Its own report of failure is never
@@ -679,7 +695,7 @@ def _forked_transport(x: np.ndarray, initial: np.ndarray, blocks: list[slice],
                 pids[pid] = j
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        _rk4(x, parts[0], timeline, dt, steps, t, events)
+        _rk4(x, parts[0], timeline, dt, steps, t, events, history)
         for pid, j in list(pids.items()):
             into = (counts, x[spans[j]], events.ever_capped[spans[j]])
             sent = [pipes[j].readinto(part) for part in into]
@@ -867,10 +883,15 @@ def coarse_grained_H(ens: TrajectoryEnsemble, psi: WaveField,
 
 
 def _coarse_bins(grid: GridSpec, cell_size: int) -> tuple[int, ...]:
-    """The _checked_bins of cells cell_size spacings wide on every axis."""
+    """The bins of cells cell_size spacings wide on every axis; cell_size
+    must be at least 4 and divide each axis's point count."""
     if cell_size < 4:
         raise ConfigError("coarse-graining cells must span at least 4 spacings")
-    return _checked_bins(grid, tuple(n // cell_size for n in grid.points))
+    for n in grid.points:
+        if n % cell_size:
+            raise ConfigError(f"cells of {cell_size} spacings do not divide "
+                              f"{n} grid points")
+    return tuple(n // cell_size for n in grid.points)
 
 
 def _relative_entropy(p_bar: np.ndarray, rho_bar: np.ndarray, bin_volume: float) -> float:

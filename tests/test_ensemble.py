@@ -155,10 +155,12 @@ class TestPropagation:
         assert res.events.capped > 0
         assert res.degraded
 
-    def test_stage_caps_mark_the_trajectory(self, grid512, harmonic512):
-        # the start point is clear of the density floor, but the first
-        # midpoint stage lands on the node of the first excited state (x = 0,
-        # a grid node); a uniform phase twist gives the state a drift
+    @staticmethod
+    def _midpoint_on_node(grid512, harmonic512):
+        """A drifting field, a step dt and a start x0 clear of the density
+        floor whose first midpoint stage lands on the node of the first
+        excited state (x = 0, a grid node); a uniform phase twist gives the
+        state its drift."""
         psi1 = stationary_states(harmonic512, 2)[1][1]
         k = 2 * np.pi * 4 / grid512.extent[0]
         psi = WaveField(grid512, psi1.values * np.exp(1j * k * grid512.axis(0)))
@@ -176,11 +178,27 @@ class TestPropagation:
         clear = NodeEvents()
         field.at(np.array([hi]), clear)
         assert clear.capped == 0
-        ens = TrajectoryEnsemble(grid=grid512, positions=np.array([hi]))
+        return psi, dt, hi
+
+    def test_stage_caps_mark_the_trajectory(self, grid512, harmonic512):
+        psi, dt, x0 = self._midpoint_on_node(grid512, harmonic512)
+        ens = TrajectoryEnsemble(grid=grid512, positions=np.array([x0]))
         res = propagate_ensemble(ens, static_timeline(psi, dt, 1), dt, 1)
         assert res.events.capped >= 1
         assert res.capped_trajectories == 1
         assert res.degraded
+
+    def test_mid_step_stage_cap_alone_marks_its_trajectory(self, grid512, harmonic512):
+        # between clear neighbours, only the first midpoint stage of the
+        # middle trajectory is capped: the other stages of the batch flag
+        # nothing, and the one capped stage still marks that trajectory
+        psi, dt, x0 = self._midpoint_on_node(grid512, harmonic512)
+        x = np.array([-2.0, x0, 1.5])
+        events = ensemble_module._TrajectoryEvents(ever_capped=np.zeros(3, dtype=bool))
+        ensemble_module._rk4(x, [slice(0, 3)], static_timeline(psi, dt, 1), dt, 1, 0.0,
+                             events)
+        assert events.ever_capped.tolist() == [False, True, False]
+        assert (events.evaluations, events.capped) == (12, 1)
 
     def test_misaligned_dt_rejected(self, grid512, ground512):
         tl = static_timeline(ground512, 0.01, 10)
@@ -197,6 +215,33 @@ class TestPropagation:
         r1 = propagate_ensemble(ens, stored, dt, steps)
         r2 = propagate_ensemble(ens, streaming, dt, steps)
         assert np.array_equal(r1.ensemble.positions, r2.ensemble.positions)
+
+    def test_checkpoint_calls_build_each_stored_field_once(self, monkeypatch, grid512,
+                                                           harmonic512):
+        built = []
+        init = VelocityField.__init__
+
+        def counting_init(self, psi, *args, **kwargs):
+            built.append(id(psi))
+            init(self, psi, *args, **kwargs)
+
+        monkeypatch.setattr(VelocityField, "__init__", counting_init)
+        psi0 = coherent_state(grid512, 1.0, 1.0)
+        dt, chunk = 0.02, 3
+        tl = WaveTimeline.from_oracle(psi0, harmonic512, dt, 10 * chunk)
+        ens = sample_equilibrium(psi0.density(), 200, seed=3)
+        for c in range(10):
+            ens = propagate_ensemble(ens, tl, dt, chunk, record_history=False,
+                                     t_start=c * chunk * dt).ensemble
+        assert built == [id(f) for f in tl.fields]
+
+    def test_history_neither_bool_nor_count_rejected(self, grid512, ground512):
+        tl = static_timeline(ground512, 0.01, 2)
+        ens = sample_equilibrium(ground512.density(), 10, seed=0)
+        # a numpy bool is no int: read as a count it would keep one history
+        for n in (-1, 11, 2.0, np.True_):
+            with pytest.raises(ConfigError, match="record_history"):
+                propagate_ensemble(ens, tl, 0.01, 2, record_history=n)
 
     def test_streaming_cannot_rewind(self, grid512, harmonic512):
         psi0 = coherent_state(grid512, 1.0, 1.0)
@@ -320,6 +365,16 @@ class TestCoarseGrainedH:
         ens = sample_equilibrium(ground512.density(), 100, seed=0)
         with pytest.raises(ConfigError):
             coarse_grained_H(ens, ground512, 2)
+
+    @pytest.mark.parametrize("cell_size", [15, 30])
+    def test_cell_size_that_does_not_divide_the_grid_rejected(self, cell_size):
+        # on 128-point axes, 15 used to run as cells of 16 and 30 as 32
+        grid = GridSpec.centered((20.0, 20.0), (128, 128))
+        psi = _band_limited_wave(grid, seed=1, real=False)
+        ens = TrajectoryEnsemble(grid=grid, positions=np.zeros((10, 2)))
+        for statistic in (coarse_grained_H, bootstrap_coarse_H):
+            with pytest.raises(ConfigError, match="do not divide 128"):
+                statistic(ens, psi, cell_size)
 
     def test_bootstrap_band_brackets_value(self, grid512, ground512):
         ens = sample_equilibrium(ground512.density(), 5000, seed=12)
@@ -654,15 +709,46 @@ def test_streaming_2d_fields_equal_stored_over_a_full_window():
     psi0 = WaveField(grid, np.outer(gaussian_packet(line, 1.0, momentum=1.0).values,
                                     gaussian_packet(line, 1.3, momentum=-0.5).values))
     potential = Potential.harmonic(grid, 1.0)
-    dt, steps, window = 0.02, 8, 6
+    dt, steps = 0.02, 8
     stored = WaveTimeline.from_oracle(psi0, potential, dt, steps)
-    streaming = OracleTimeline(psi0, potential, dt, window=window)
+    streaming = OracleTimeline(psi0, potential, dt)
     # hold every streamed field past the window: none may share a buffer
     held = [streaming.at(j * dt / 2) for j in range(2 * steps + 1)]
-    assert len(held) > window
+    assert len(held) > ensemble_module._RK4_FIELDS
     for got, want in zip(held, stored.fields):
         assert got.values.tobytes() == want.values.tobytes()
     assert len({id(f.values) for f in held}) == len(held)
+
+
+class _WatchedStream(OracleTimeline):
+    """A streaming timeline that records the most fields and velocity
+    fields it ever held at once."""
+
+    held = 0
+
+    def velocity(self, t):
+        v = super().velocity(t)
+        self.held = max(self.held, len(self._fields), len(self._velocities))
+        return v
+
+
+def test_streaming_2d_transport_holds_one_step_of_fields():
+    grid = GridSpec.centered((16.0, 16.0), (32, 32))
+    line = grid.axis_line(0)
+    psi0 = WaveField(grid, np.outer(gaussian_packet(line, 1.0, momentum=1.0).values,
+                                    gaussian_packet(line, 1.3, momentum=-0.5).values))
+    potential = Potential.harmonic(grid, 1.0)
+    dt, chunk, calls = 0.05, 3, 4
+    stored = WaveTimeline.from_oracle(psi0, potential, dt, chunk * calls)
+    streaming = _WatchedStream(psi0, potential, dt)
+    start = np.random.default_rng(4).uniform(-3.0, 3.0, (300, 2))
+    ens = TrajectoryEnsemble(grid=grid, positions=start)
+    want = propagate_ensemble(ens, stored, dt, chunk * calls, record_history=False)
+    for c in range(calls):
+        ens = propagate_ensemble(ens, streaming, dt, chunk, record_history=False,
+                                 t_start=c * chunk * dt).ensemble
+    assert streaming.held == 3
+    assert ens.positions.tobytes() == want.ensemble.positions.tobytes()
 
 
 def test_velocity_field_rejects_nan_psi():
@@ -861,6 +947,29 @@ def test_forked_transport_is_bit_identical_to_serial(monkeypatch, dims):
     with_history = propagate_ensemble(ens, timeline, dt, steps)
     assert len(forks) == 1
     assert _outcome(with_history) == _outcome(serial)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("dims", [1, 2])
+def test_forked_transport_records_the_first_histories(monkeypatch, dims):
+    ens, timeline, dt, steps = _forked_case(dims)
+    _on_cpus(monkeypatch, 1)
+    serial = propagate_ensemble(ens, timeline, dt, steps)
+    forks = _on_cpus(monkeypatch, 2)
+    # the parent's share holds at least two blocks and records them
+    for n in (1, 100, 2 * B):
+        forked = propagate_ensemble(ens, timeline, dt, steps, record_history=n)
+        want = serial.ensemble.history[:, :n]
+        assert forked.ensemble.history.shape == want.shape
+        assert forked.ensemble.history.tobytes() == want.tobytes()
+        assert _outcome(forked) == _outcome(serial)
+    assert len(forks) == 3
+    # a longer history stays in one process
+    longer = propagate_ensemble(ens, timeline, dt, steps, record_history=2 * B + 1)
+    assert len(forks) == 3
+    assert longer.ensemble.history.tobytes() == serial.ensemble.history[:, :2 * B + 1].tobytes()
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)
 

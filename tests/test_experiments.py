@@ -1,12 +1,13 @@
 """Config handling, scenario runs, sweeps, reports, CLI exit codes, replay."""
 
 import json
+import os
 
 import pytest
 
 from qfluid.cli import main as cli_main
 from qfluid.errors import ConfigError, QFluidError
-from qfluid import experiments, oracle
+from qfluid import ensemble, experiments, oracle
 from qfluid.experiments import (
     Criterion,
     ExperimentConfig,
@@ -99,6 +100,43 @@ class TestRun:
         m1.pop("wall_time_s")
         m2.pop("wall_time_s")
         assert m1 == m2
+
+    @pytest.mark.parametrize("cell_size", [15, 30])
+    def test_cell_size_not_dividing_the_grid_rejected(self, tmp_path, cell_size):
+        cfg = ExperimentConfig.from_dict({"scenario": "relaxation", "cell_size": cell_size})
+        with pytest.raises(ConfigError, match="do not divide 128 grid points"):
+            run(cfg, tmp_path)
+        assert not (tmp_path / "run_manifest.json").exists()
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_equivariance_sample_equals_a_replay(self, tmp_path, monkeypatch):
+        # the sample trajectories are recorded by the forked checkpoint
+        # transports; a serial replay of the sample with full history must
+        # write the same trajectories.csv
+        calls = []
+        transport = experiments.propagate_ensemble
+
+        def recording(ens, timeline, dt, steps, **kwargs):
+            calls.append((ens, timeline, dt))
+            return transport(ens, timeline, dt, steps, **kwargs)
+
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1}, raising=False)
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        monkeypatch.setattr(experiments, "propagate_ensemble", recording)
+        steps = 20
+        run(ExperimentConfig.from_dict({
+            "scenario": "equivariance", "n_trajectories": 4 * ensemble._BLOCK,
+            "steps": steps, "checkpoints": 10, "seed": 3}), tmp_path)
+        assert len(calls) == 10 and len(forks) == 10
+        start, timeline, dt = calls[0]
+        sample = ensemble.TrajectoryEnsemble(grid=start.grid, positions=start.positions[:100])
+        history = transport(sample, timeline, dt, steps).ensemble.history
+        rows = [[tid, j * dt, history[j, tid]] for tid in range(100)
+                for j in range(0, steps + 1, max(1, steps // 32))]
+        want = experiments._write_table(tmp_path / "replay.csv", ["traj_id", "t", "x"], rows)
+        assert (tmp_path / "trajectories.csv").read_bytes() == want.read_bytes()
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
@@ -404,8 +442,11 @@ class TestCli:
         ({"scenario": "relaxation", "cell_size": 2}, "cell_size"),
         ({"scenario": "relaxation", "cell_size": 6}, "cell_size"),
         ({"scenario": "relaxation", "cell_size": 200}, "cell_size"),
+        # these used to run silently as cells of 16 and 32
+        ({"scenario": "relaxation", "cell_size": 15}, "cell_size"),
+        ({"scenario": "relaxation", "cell_size": 30}, "cell_size"),
     ], ids=["bins-not-dividing", "h-cells-not-dividing", "cell-under-four",
-            "cell-not-dividing", "cell-over-the-grid"])
+            "cell-not-dividing", "cell-over-the-grid", "cell-15", "cell-30"])
     def test_bins_the_statistics_reject_exit_two_before_any_run(
             self, tmp_path, capsys, no_eigensolve, doc, key):
         # each used to fail only at the first checkpoint, after the
