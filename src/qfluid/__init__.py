@@ -76,7 +76,6 @@ from .conditional import (
     conditional_guiding_velocity,
     conditional_guiding_velocities,
     conditional_wavefunction,
-    propagate_pair,
 )
 from .measurement import (
     pointer_marginal,

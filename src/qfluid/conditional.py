@@ -7,8 +7,8 @@ genuine 1D field obtained by interpolating the joint state along the fixed
 axis. Its phase gradient at the particle's own position reproduces, exactly,
 the corresponding component of the configuration-space guiding velocity:
 slicing commutes with differentiating along the other axis, so the two
-evaluation routes agree to rounding. propagate_pair exploits that identity
-and moves pairs with the (vectorized) configuration-space velocity.
+evaluation routes agree to rounding. Pairs therefore move with the
+configuration-space velocity: propagate_ensemble over the joint grid.
 
 conditional_guiding_velocities evaluates one particle's conditional
 velocity for many pairs in one pass: one gather lerps every slice, one
@@ -31,8 +31,7 @@ import numpy as np
 from .errors import ConditionalUndefinedError, ConfigError
 from .grids import (DENSITY_FLOOR_FRACTION, GridSpec, WaveField, _check_finite,
                     _interp_weights, _spectral_derivative)
-from .ensemble import (NodeEvents, TrajectoryEnsemble, VelocityField, _cell_rows, _cell_terms,
-                       _floored_ratios, propagate_ensemble)
+from .ensemble import NodeEvents, VelocityField, _cell_rows, _cell_terms, _floored_ratios
 
 __all__ = [
     "ConfigWaveField",
@@ -42,7 +41,6 @@ __all__ = [
     "conditional_guiding_velocity",
     "conditional_guiding_velocities",
     "configuration_velocity",
-    "propagate_pair",
 ]
 
 
@@ -67,17 +65,13 @@ class ConfigWaveField:
     def masses(self) -> tuple[float, float]:
         return (self.m1, self.m2)
 
-    def normalized(self) -> "ConfigWaveField":
-        return ConfigWaveField(self.psi.normalized(), self.hbar, self.m1, self.m2)
-
 
 @dataclass(frozen=True)
 class ParticlePair:
-    """Actual positions of the two particles, with optional history."""
+    """Actual positions of the two particles."""
 
     x1: float
     x2: float
-    history: np.ndarray | None = None
 
     @property
     def positions(self) -> np.ndarray:
@@ -197,23 +191,3 @@ def configuration_velocity(state: ConfigWaveField) -> VelocityField:
     """Full configuration-space guiding velocity, one component per particle."""
     return VelocityField(state.psi, hbar=state.hbar, masses=state.masses)
 
-
-def propagate_pair(state0: ConfigWaveField, timeline, pair: ParticlePair,
-                   dt: float, steps: int,
-                   events: NodeEvents | None = None) -> ParticlePair:
-    """Single-pair convenience wrapper around the vectorized transport.
-
-    events, when given, counts the transport's velocity evaluations and
-    the capped ones among them.
-    """
-    ens = TrajectoryEnsemble(grid=state0.grid, positions=pair.positions[None, :])
-    res = propagate_ensemble(ens, timeline, dt, steps, record_history=True)
-    if events is not None:
-        events.evaluations += res.events.evaluations
-        events.capped += res.events.capped
-    final = res.ensemble.positions[0]
-    return ParticlePair(
-        x1=float(final[0]),
-        x2=float(final[1]),
-        history=res.ensemble.history[:, 0, :],
-    )

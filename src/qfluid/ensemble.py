@@ -35,7 +35,7 @@ import numpy as np
 from .errors import ConfigError, GridMismatchError
 from .grids import (DENSITY_FLOOR_FRACTION, GridSpec, ScalarField, WaveField, _check_finite,
                     _interp_weights, _nonzero_parts, _spectral_derivative)
-from .oracle import Potential, PropagatorState, split_step_evolve
+from .oracle import Potential, PropagatorState, _check_steps, split_step_evolve
 
 __all__ = [
     "TrajectoryEnsemble",
@@ -555,6 +555,7 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
     record_history is True (every trajectory), False (none) or an int n:
     the history of the first n trajectories only. Any other value, a numpy
     bool included, is a ConfigError, so a flag is never read as a count.
+    steps must be an integer >= 0 (not a bool), or it is a ConfigError.
 
     Over a stored WaveTimeline, an ensemble of at least two blocks per CPU
     of the affinity mask is transported in forked processes, one contiguous
@@ -564,6 +565,7 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
     longer one stays serial, as does a streaming timeline, since every
     process would repeat each split step.
     """
+    _check_steps(steps)
     if timeline.grid != ens.grid:
         raise GridMismatchError("ensemble and timeline grids differ")
     if abs(timeline.half_dt * 2.0 - dt) > 1e-12 * dt:

@@ -1,9 +1,11 @@
 """Batch scenarios: declarative configs in, CSV artifacts and manifests out.
 
-SCHEMAS declares each scenario's keys once: name, kind and default, plus its
-tolerances and default grid. run() checks a config against it and hands the
-scenario the checked values; the scenario writes its data files, and the
-RunManifest carries one pass/fail verdict per acceptance check in scope.
+SCHEMAS holds one row per scenario: the function that runs it, its keys
+(name, kind and default), its tolerances and default grid, the metric a
+sweep fits and the step that turns a t_end into a step count. run() checks a
+config against the row and hands the scenario the checked values; the
+scenario writes its data files, and the RunManifest carries one pass/fail
+verdict per acceptance check in scope.
 The config plus the code version fixes every output byte (the manifest's
 wall_time_s field is the one exception).
 """
@@ -18,6 +20,7 @@ import time
 from dataclasses import dataclass
 from pathlib import Path
 from types import SimpleNamespace
+from typing import Callable
 
 import numpy as np
 
@@ -59,10 +62,8 @@ from .ensemble import (
 )
 from .conditional import (
     ConfigWaveField,
-    ParticlePair,
     conditional_guiding_velocities,
     configuration_velocity,
-    propagate_pair,
 )
 from .measurement import (
     joint_grid,
@@ -74,7 +75,7 @@ from .measurement import (
 )
 
 __all__ = ["ExperimentConfig", "RunManifest", "Criterion", "run", "sweep", "report",
-           "SCENARIOS", "OUTPUT_ROOT_ENV"]
+           "SCHEMAS", "OUTPUT_ROOT_ENV"]
 
 OUTPUT_ROOT_ENV = "QFLUID_OUTPUT_ROOT"
 
@@ -95,9 +96,9 @@ class ExperimentConfig:
         except KeyError:
             raise ConfigError("config is missing the 'scenario' key") from None
         output_dir = doc.pop("output_dir", None)
-        if scenario not in SCENARIOS:
+        if scenario not in SCHEMAS:
             raise ConfigError(
-                f"unknown scenario {scenario!r}; choose from {sorted(SCENARIOS)}"
+                f"unknown scenario {scenario!r}; choose from {sorted(SCHEMAS)}"
             )
         return cls(scenario=scenario, params=doc, output_dir=output_dir)
 
@@ -568,29 +569,25 @@ def _scenario_conditional_pair(p: SimpleNamespace, outdir: Path):
     # product state: pair transport reduces to independent 1D problems
     u1 = Potential.harmonic(grid1, p.omega, m)
     joint_pot = Potential(ScalarField(grid2, u1.values[:, None] + u1.values[None, :]))
-    product = ConfigWaveField(
-        WaveField(grid2, np.outer(a.values, b.values)).normalized(),
-        hbar=hbar, m1=m, m2=m,
-    )
+    product = WaveField(grid2, np.outer(a.values, b.values)).normalized()
     period = 2 * np.pi / p.omega
     dt = period / steps
-    timeline2 = OracleTimeline(product.psi, joint_pot, dt, hbar, m)
-    pair0 = ParticlePair(p.x1, p.x2)
-    pair_events = NodeEvents()
-    moved = propagate_pair(product, timeline2, pair0, dt, steps, pair_events)
-    tl_a = WaveTimeline.from_oracle(a, u1, dt, steps, hbar, m)
-    tl_b = WaveTimeline.from_oracle(b, u1, dt, steps, hbar, m)
+    pair = propagate_ensemble(
+        TrajectoryEnsemble(grid=grid2, positions=np.array([[p.x1, p.x2]])),
+        OracleTimeline(product, joint_pot, dt, hbar, m), dt, steps,
+    )
     single_a = propagate_ensemble(
-        TrajectoryEnsemble(grid=grid1, positions=np.array([pair0.x1])),
-        tl_a, dt, steps, record_history=False,
+        TrajectoryEnsemble(grid=grid1, positions=np.array([p.x1])),
+        OracleTimeline(a, u1, dt, hbar, m), dt, steps, record_history=False,
     )
     single_b = propagate_ensemble(
-        TrajectoryEnsemble(grid=grid1, positions=np.array([pair0.x2])),
-        tl_b, dt, steps, record_history=False,
+        TrajectoryEnsemble(grid=grid1, positions=np.array([p.x2])),
+        OracleTimeline(b, u1, dt, hbar, m), dt, steps, record_history=False,
     )
+    moved, history = pair.ensemble.positions[0], pair.ensemble.history[:, 0]
     pair_gap = max(
-        abs(moved.x1 - single_a.ensemble.positions[0]),
-        abs(moved.x2 - single_b.ensemble.positions[0]),
+        abs(moved[0] - single_a.ensemble.positions[0]),
+        abs(moved[1] - single_b.ensemble.positions[0]),
     )
 
     metrics = {
@@ -602,27 +599,16 @@ def _scenario_conditional_pair(p: SimpleNamespace, outdir: Path):
         Criterion("product_pair_gap", pair_gap, p.tolerances.pair_gap),
     ]
     hist_rows = [
-        [0, j * dt, moved.history[j, 0], moved.history[j, 1]]
-        for j in range(0, moved.history.shape[0], max(1, steps // 64))
+        [0, j * dt, history[j, 0], history[j, 1]]
+        for j in range(0, history.shape[0], max(1, steps // 64))
     ]
     outputs = [
         str(_write_table(outdir / "pair_history.csv",
                          ["pair_id", "t", "x1", "x2"], hist_rows)),
     ]
-    capped = (guidance_events.capped + int(pair_events.capped > 0)
+    capped = (guidance_events.capped + pair.capped_trajectories
               + single_a.capped_trajectories + single_b.capped_trajectories)
     return metrics, criteria, outputs, capped
-
-
-SCENARIOS = {
-    "oracle-evolve": _scenario_oracle_evolve,
-    "madelung-compare": _scenario_madelung_compare,
-    "twofluid-verify": _scenario_twofluid_verify,
-    "equivariance": _scenario_equivariance,
-    "relaxation": _scenario_relaxation,
-    "measurement": _scenario_measurement,
-    "conditional-pair": _scenario_conditional_pair,
-}
 
 
 # ----------------------------------------------------------------------
@@ -644,42 +630,56 @@ _CONSTANTS = {"hbar": ("positive", 1.0), "m": ("positive", 1.0), "D": ("positive
 
 @dataclass(frozen=True)
 class Schema:
-    """What one scenario accepts: keys as key -> (kind, default), tolerances
-    as name -> default (reals), and the default grid (extent, points). Grid
-    extent, points and origin are one number or one per axis."""
+    """One scenario: run(values, outdir) does the work; it accepts keys as
+    key -> (kind, default), tolerances as name -> default (reals), and the
+    default grid (extent, points). Grid extent, points and origin are one
+    number or one per axis. sweep_metric is the metric whose convergence a
+    sweep fits (None: no sweeps), and t_end_dt the key whose step a t_end
+    is divided by to give steps (None: no t_end key)."""
 
+    run: Callable
     keys: dict
     tolerances: dict
     grid: tuple
+    sweep_metric: str | None = None
+    t_end_dt: str | None = None
 
 
 SCHEMAS = {
     "oracle-evolve": Schema(
+        _scenario_oracle_evolve,
         keys={"kind": (("harmonic-coherent", "harmonic-ground", "free-gaussian",
                         "plane-wave"), "harmonic-coherent"),
               "dt": ("positive", 1e-3), "steps": ("count", 6283),
               "t_end": ("positive", None),  # instead of steps: round(t_end / dt)
               "displacement": ("real", 2.0), "width": ("positive", 1.0),
               "mode": ("integer", 3)},
-        tolerances={"norm_drift": 1e-9, "energy_drift_rel": 1e-6}, grid=(24.0, 512)),
+        tolerances={"norm_drift": 1e-9, "energy_drift_rel": 1e-6}, grid=(24.0, 512),
+        sweep_metric="terminal_error", t_end_dt="dt"),
     "madelung-compare": Schema(
+        _scenario_madelung_compare,
         keys={"dt": ("positive", 1e-3), "width": ("positive", 1.0),
               "momentum": ("real", 2.0), "snapshot_windows": ("count", 5),
               "madelung_dt": ("positive", 1e-4),
               "t_end": ("positive", 0.5)},  # round(t_end / madelung_dt) steps
-        tolerances={"residual": 1e-3, "rho_l2": 1e-3}, grid=(24.0, 256)),
+        tolerances={"residual": 1e-3, "rho_l2": 1e-3}, grid=(24.0, 256),
+        sweep_metric="residual_continuity", t_end_dt="madelung_dt"),
     # the carrier is static, so every micro-interval is the same and no
     # metric depends on n_micro: it must be >= 8 and is echoed in convergence.csv
     "twofluid-verify": Schema(
+        _scenario_twofluid_verify,
         keys={"width": ("positive", 1.0), "delta_t": ("positive", 1e-4),
               "n_micro": ("count", 16), "micro_substeps": ("count", 1)},
-        tolerances={"rel_err": 1e-3, "coeff_dev": 5e-3}, grid=(12.0, 512)),
+        tolerances={"rel_err": 1e-3, "coeff_dev": 5e-3}, grid=(12.0, 512),
+        sweep_metric="rel_err_vs_gradQ"),
     "equivariance": Schema(
+        _scenario_equivariance,
         keys={"steps": ("count", 640), "seed": ("index", 42),
               "n_trajectories": ("count", 100000), "bins": ("count", 64),
               "checkpoints": ("count", 10)},  # must divide steps
-        tolerances={"l1": 0.03}, grid=(24.0, 512)),
+        tolerances={"l1": 0.03}, grid=(24.0, 512), sweep_metric="l1_max"),
     "relaxation": Schema(
+        _scenario_relaxation,
         keys={"steps": ("count", 1200), "seed": ("index", 102),
               "n_trajectories": ("count", 20000), "cell_size": ("count", 8),
               "checkpoints": ("count", 10),  # must divide steps
@@ -688,6 +688,7 @@ SCHEMAS = {
               "omega_y": ("positive", None)},  # default: golden ratio x omega
         tolerances={"decay": 0.5}, grid=((20.0, 20.0), (128, 128))),
     "measurement": Schema(
+        _scenario_measurement,
         keys={"y_extent": ("positive", 16.0), "y_points": ("points", 256),
               "pointer_width": ("positive", 0.5), "pointer_center": ("real", -4.0),
               "single_mode": ("index", 2), "duration_single": ("positive", 2.0),
@@ -697,6 +698,7 @@ SCHEMAS = {
         tolerances={"mean_err": None, "lobe_closed": 1e-3, "lobe_brute": 2e-2},
         grid=(24.0, 256)),
     "conditional-pair": Schema(
+        _scenario_conditional_pair,
         keys={"steps": ("count", 400), "seed": ("index", 9),
               "n_samples": ("count", 1000), "x1": ("real", -2.2), "x2": ("real", 2.8)},
         tolerances={"identity": 1e-6, "pair_gap": 1e-6}, grid=(16.0, 128)),
@@ -780,7 +782,7 @@ def _validate_keys(cfg: ExperimentConfig) -> SimpleNamespace:
     v["tolerances"] = SimpleNamespace(**_filled(
         cfg.scenario, "tolerances.", v["tolerances"],
         {name: ("real", default) for name, default in schema.tolerances.items()}))
-    dt_key = {"oracle-evolve": "dt", "madelung-compare": "madelung_dt"}.get(cfg.scenario)
+    dt_key = schema.t_end_dt
     if dt_key and v["t_end"] is not None:
         if "steps" in cfg.params:
             raise ConfigError("config keys 't_end' and 'steps' exclude each other")
@@ -804,15 +806,6 @@ def _validate_keys(cfg: ExperimentConfig) -> SimpleNamespace:
     return SimpleNamespace(**v, **c)
 
 
-# sweep metric per scenario: the quantity whose convergence is studied
-SWEEP_METRICS = {
-    "oracle-evolve": "terminal_error",
-    "madelung-compare": "residual_continuity",
-    "twofluid-verify": "rel_err_vs_gradQ",
-    "equivariance": "l1_max",
-}
-
-
 def _resolve_outdir(cfg: ExperimentConfig) -> Path:
     root = os.environ.get(OUTPUT_ROOT_ENV)
     base = Path(cfg.output_dir) if cfg.output_dir else Path("runs") / cfg.scenario
@@ -827,7 +820,7 @@ def run(cfg: ExperimentConfig, outdir=None) -> RunManifest:
     outdir = Path(outdir) if outdir is not None else _resolve_outdir(cfg)
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
-    metrics, criteria, outputs, capped = SCENARIOS[cfg.scenario](values, outdir)
+    metrics, criteria, outputs, capped = SCHEMAS[cfg.scenario].run(values, outdir)
     relative = [
         str(Path(p).relative_to(outdir)) if Path(p).is_absolute() else str(p)
         for p in outputs
@@ -867,16 +860,17 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list[float],
     """One run per parameter value plus a log-log convergence fit."""
     if len(values) < 3:
         raise ConfigError("a sweep needs at least 3 parameter values")
-    if cfg.scenario not in SWEEP_METRICS:
+    schema = SCHEMAS.get(cfg.scenario)
+    if schema is None or schema.sweep_metric is None:
         raise ConfigError(f"scenario {cfg.scenario!r} has no sweep metric")
-    metric_name = SWEEP_METRICS[cfg.scenario]
+    metric_name = schema.sweep_metric
     bad = [v for v in values if not (np.isfinite(v) and v > 0)]
     if bad:
         raise ConfigError(
             f"sweep values must be positive and finite for the log-log fit, "
             f"got {bad!r}"
         )
-    kind, _ = SCHEMAS[cfg.scenario].keys.get(parameter, ("real", None))
+    kind, _ = schema.keys.get(parameter, ("real", None))
     if kind in _INTEGER_MINIMUM:  # an integer key echoes as 20, not 20.0
         values = [_check(parameter, kind, v) for v in values]
     subs = [ExperimentConfig(cfg.scenario, {**cfg.params, parameter: v}) for v in values]

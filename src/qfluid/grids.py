@@ -111,19 +111,13 @@ class GridSpec:
     def cell_volume(self) -> float:
         return float(np.prod(self.spacing))
 
-    @property
-    def domain_volume(self) -> float:
-        return float(np.prod(self.extent))
-
     def axis(self, i: int) -> np.ndarray:
         h = self.spacing[i]
         return self.origin[i] + h * np.arange(self.points[i])
 
-    def axes(self) -> list[np.ndarray]:
-        return [self.axis(i) for i in range(self.dims)]
-
     def meshgrid(self) -> list[np.ndarray]:
-        return list(np.meshgrid(*self.axes(), indexing="ij"))
+        return list(np.meshgrid(*(self.axis(i) for i in range(self.dims)),
+                                indexing="ij"))
 
     def wavenumbers(self, i: int) -> np.ndarray:
         """Angular wavenumbers 2*pi*fftfreq along axis i; computed once per

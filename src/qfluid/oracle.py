@@ -25,16 +25,13 @@ from .grids import (
     VectorField,
     WaveField,
     complex_gradient,
-    divergence,
 )
 
 __all__ = [
     "Potential",
     "PropagatorState",
     "split_step_evolve",
-    "evolve_with_snapshots",
     "stationary_states",
-    "tensor_eigenstate",
     "random_phase_superposition",
     "energy_expectation",
     "probability_current",
@@ -81,14 +78,6 @@ class Potential:
         r2 = sum((ax - c) ** 2 for ax, c in zip(mesh, ctr))
         return cls(ScalarField(grid, 0.5 * m * omega**2 * r2))
 
-    @classmethod
-    def barrier(cls, grid: GridSpec, height: float, width: float,
-                center: float = 0.0) -> "Potential":
-        """Rectangular barrier on a 1D grid."""
-        x = grid.axis(0)
-        vals = np.where(np.abs(x - center) <= width / 2, height, 0.0)
-        return cls(ScalarField(grid, vals))
-
 
 @dataclass(frozen=True)
 class PropagatorState:
@@ -123,6 +112,14 @@ def _split_phases(potential: Potential, dt: float, hbar: float, m: float):
     return hit[1], hit[2]
 
 
+def _check_steps(steps):
+    """ConfigError unless steps is an integer >= 0: a negative count would
+    run no step and a fractional one would escape as a TypeError."""
+    if (isinstance(steps, bool) or not isinstance(steps, (int, np.integer))
+            or steps < 0):
+        raise ConfigError(f"steps must be an integer >= 0, got {steps!r}")
+
+
 def split_step_evolve(state: PropagatorState, potential: Potential,
                       steps: int) -> PropagatorState:
     """Advance `steps` Strang-split steps of size state.dt.
@@ -133,8 +130,10 @@ def split_step_evolve(state: PropagatorState, potential: Potential,
     All stages run in one array per call, which the returned field owns.
 
     Aborts with UnitarityError if the norm drifts by more than 1e-6,
-    which for this scheme only happens on corrupted input.
+    which for this scheme only happens on corrupted input. steps must be
+    an integer >= 0 (not a bool); anything else is a ConfigError.
     """
+    _check_steps(steps)
     if potential.grid != state.psi.grid:
         raise ConfigError("potential and wave field live on different grids")
     dt, hbar, m = state.dt, state.hbar, state.m
@@ -164,16 +163,6 @@ def split_step_evolve(state: PropagatorState, potential: Potential,
                    t=state.t + steps * dt)
 
 
-def evolve_with_snapshots(state: PropagatorState, potential: Potential,
-                          steps: int, every: int) -> list[PropagatorState]:
-    """Evolve and keep every `every`-th state (including the initial one)."""
-    out = [state]
-    for _ in range(steps // every):
-        state = split_step_evolve(state, potential, every)
-        out.append(state)
-    return out
-
-
 def energy_expectation(state: PropagatorState, potential: Potential) -> float:
     """<psi| T + U |psi> evaluated spectrally."""
     psi = state.psi.values
@@ -191,16 +180,6 @@ def probability_current(psi: WaveField, hbar: float = 1.0,
         (hbar / m) * np.imag(np.conj(psi.values) * g) for g in grads
     )
     return VectorField(psi.grid, comps)
-
-
-def current_continuity_residual(prev: WaveField, now: WaveField,
-                                nxt: WaveField, dt: float,
-                                hbar: float = 1.0, m: float = 1.0) -> float:
-    """RMS of d|psi|^2/dt + div j with centered time differencing."""
-    drho = (nxt.density().values - prev.density().values) / (2.0 * dt)
-    divj = divergence(probability_current(now, hbar, m)).values
-    r = drho + divj
-    return float(np.sqrt(np.mean(r**2)))
 
 
 def _fd_hamiltonian(potential: Potential, hbar: float, m: float) -> np.ndarray:
@@ -261,15 +240,6 @@ def stationary_states(potential: Potential, count: int, hbar: float = 1.0,
     return pairs
 
 
-def tensor_eigenstate(grid2d: GridSpec, pair_x: tuple[float, WaveField],
-                      pair_y: tuple[float, WaveField]) -> tuple[float, WaveField]:
-    """Product of two 1D eigenstates on a 2D grid built from their axes."""
-    ex, phix = pair_x
-    ey, phiy = pair_y
-    vals = np.outer(phix.values, phiy.values)
-    return ex + ey, WaveField(grid2d, vals)
-
-
 def random_phase_superposition(grid2d: GridSpec, omega_x: float, omega_y: float,
                                modes, phase_seed: int, hbar: float = 1.0,
                                m: float = 1.0) -> tuple[WaveField, Potential]:
@@ -284,8 +254,8 @@ def random_phase_superposition(grid2d: GridSpec, omega_x: float, omega_y: float,
     vals = np.zeros(grid2d.shape, dtype=complex)
     for nx in modes:
         for ny in modes:
-            _, phi = tensor_eigenstate(grid2d, px[nx], py[ny])
-            vals += np.exp(1j * rng.uniform(0, 2 * np.pi)) * amp * phi.values
+            phi = np.outer(px[nx][1].values, py[ny][1].values)
+            vals += np.exp(1j * rng.uniform(0, 2 * np.pi)) * amp * phi
     joint = Potential(ScalarField(grid2d, ux.values[:, None] + uy.values[None, :]))
     return WaveField(grid2d, vals).normalized(), joint
 

@@ -84,11 +84,6 @@ class TwoFluidConfig:
         return cls(D=D, delta_t=delta_t, N_micro=N_micro, micro_substeps=micro_substeps)
 
     @property
-    def Delta_t(self) -> float:
-        """The averaging window, N_micro * delta_t."""
-        return self.N_micro * self.delta_t
-
-    @property
     def dt_sub(self) -> float:
         return self.delta_t / self.micro_substeps
 
@@ -115,19 +110,16 @@ def diffusion_stability_limit(grid: GridSpec, D: float) -> float:
     return min(h**2 for h in grid.spacing) / (4.0 * D)
 
 
-def fluid2_microstep(sigma: ScalarField, dt_sub: float, D: float,
-                     scheme: str = "euler") -> ScalarField:
-    """One explicit substep of d(sigma)/dt = D laplacian(sigma).
+def fluid2_microstep(sigma: ScalarField, dt_sub: float, D: float) -> ScalarField:
+    """One forward-Euler substep of d(sigma)/dt = D laplacian(sigma).
 
-    Forward Euler by default, classic RK4 with scheme="rk4"; any other
-    scheme is a ConfigError. The Laplacian is a local 8th-order stencil: its
-    rounding error scales with the local density, keeping the far tail clean
-    for the ratio-based acceleration, and its stencil coefficients sum to
-    zero exactly, so the discrete mass is conserved to rounding. It is also comfortably stable under forward
-    Euler at the h^2/4D bound, which a spectral Laplacian would not be.
+    The Laplacian is a local 8th-order stencil: its rounding error scales
+    with the local density, keeping the far tail clean for the ratio-based
+    acceleration, and its stencil coefficients sum to zero exactly, so the
+    discrete mass is conserved to rounding. It is also comfortably stable
+    under forward Euler at the h^2/4D bound, which a spectral Laplacian
+    would not be.
     """
-    if scheme not in ("euler", "rk4"):
-        raise ConfigError(f"unknown diffusion scheme {scheme!r}")
     grid = sigma.grid
     limit = diffusion_stability_limit(grid, D)
     if dt_sub > limit:
@@ -135,21 +127,8 @@ def fluid2_microstep(sigma: ScalarField, dt_sub: float, D: float,
             f"diffusion substep {dt_sub!r} exceeds the stability bound {limit!r}"
         )
     s0 = sigma.values
-
-    def rhs(vals):
-        return D * sum(
-            fd_second_derivative(vals, grid, ax) for ax in range(grid.dims)
-        )
-
-    if scheme == "rk4":
-        k1 = rhs(s0)
-        k2 = rhs(s0 + 0.5 * dt_sub * k1)
-        k3 = rhs(s0 + 0.5 * dt_sub * k2)
-        k4 = rhs(s0 + dt_sub * k3)
-        s1 = s0 + dt_sub / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
-    else:
-        s1 = s0 + dt_sub * rhs(s0)
-    return ScalarField(grid, s1)
+    rhs = D * sum(fd_second_derivative(s0, grid, ax) for ax in range(grid.dims))
+    return ScalarField(grid, s0 + dt_sub * rhs)
 
 
 def micro_acceleration(sigma: ScalarField, D: float) -> VectorField:
@@ -225,10 +204,6 @@ class ReactionForce:
     exact: VectorField       # -(sigma/rho) <du/dt>
     approx: VectorField      # -<du/dt>
     max_rel_gap: float
-
-    @property
-    def grid(self) -> GridSpec:
-        return self.exact.grid
 
 
 def reaction_force(avg_accel: VectorField, sigma: ScalarField,

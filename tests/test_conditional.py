@@ -22,7 +22,6 @@ from qfluid.conditional import (
     conditional_guiding_velocities,
     conditional_wavefunction,
     configuration_velocity,
-    propagate_pair,
 )
 from qfluid.measurement import joint_grid
 
@@ -270,19 +269,22 @@ class TestPairTransport:
         steps = 400
         dt = 2 * np.pi / steps
         timeline2 = OracleTimeline(product.psi, joint_pot, dt)
-        pair = propagate_pair(product, timeline2, ParticlePair(-2.2, 2.8), dt, steps)
+        pair = propagate_ensemble(
+            TrajectoryEnsemble(grid=grid2, positions=np.array([[-2.2, 2.8]])),
+            timeline2, dt, steps,
+        ).ensemble
 
         singles = []
         for psi0, x0 in ((a, -2.2), (b, 2.8)):
-            tl = WaveTimeline.from_oracle(psi0, u1, dt, steps)
+            tl = OracleTimeline(psi0, u1, dt)
             ens = TrajectoryEnsemble(grid=line, positions=np.array([x0]))
             singles.append(
                 propagate_ensemble(ens, tl, dt, steps,
                                    record_history=False).ensemble.positions[0]
             )
-        assert abs(pair.x1 - singles[0]) <= 1e-6
-        assert abs(pair.x2 - singles[1]) <= 1e-6
-        assert pair.history.shape == (steps + 1, 2)
+        assert abs(pair.positions[0, 0] - singles[0]) <= 1e-6
+        assert abs(pair.positions[0, 1] - singles[1]) <= 1e-6
+        assert pair.history.shape == (steps + 1, 1, 2)
 
     def test_stationary_two_particle_eigenstate_static(self, line):
         u1 = Potential.harmonic(line, 1.0)
@@ -291,12 +293,12 @@ class TestPairTransport:
         psi = WaveField(
             grid2, np.outer(pairs1[0][1].values, pairs1[0][1].values)
         ).normalized()
-        state = ConfigWaveField(psi)
         # frozen timeline: a real eigenstate product generates no flow
         tl = WaveTimeline(0.0, 0.005, [psi] * 41)
-        moved = propagate_pair(state, tl, ParticlePair(-0.8, 0.5), 0.01, 20)
-        assert moved.x1 == pytest.approx(-0.8, abs=1e-12)
-        assert moved.x2 == pytest.approx(0.5, abs=1e-12)
+        ens = TrajectoryEnsemble(grid=grid2, positions=np.array([[-0.8, 0.5]]))
+        moved = propagate_ensemble(ens, tl, 0.01, 20).ensemble.positions[0]
+        assert moved[0] == pytest.approx(-0.8, abs=1e-12)
+        assert moved[1] == pytest.approx(0.5, abs=1e-12)
 
     def test_joint_density_tracks_wave_density(self, line):
         # 2D equivariance of a pair ensemble over one trap period

@@ -133,7 +133,7 @@ class TestPropagation:
         ).normalized()
         steps = 16000
         dt = 2 * np.pi / steps
-        tl = WaveTimeline.from_oracle(psi0, harmonic512, dt, steps)
+        tl = OracleTimeline(psi0, harmonic512, dt)
         rho = psi0.density()
         h = grid512.spacing[0]
         cdf = np.concatenate([[0.0], np.cumsum(rho.values) * h])
@@ -242,6 +242,15 @@ class TestPropagation:
         for n in (-1, 11, 2.0, np.True_):
             with pytest.raises(ConfigError, match="record_history"):
                 propagate_ensemble(ens, tl, 0.01, 2, record_history=n)
+
+    def test_bad_steps_rejected(self, grid512, ground512):
+        tl = static_timeline(ground512, 0.01, 2)
+        ens = sample_equilibrium(ground512.density(), 10, seed=0)
+        # unchecked, -2 returns the positions untouched and 2.5 escapes from
+        # range() as a TypeError
+        for steps in (-2, 2.5, True):
+            with pytest.raises(ConfigError, match="steps must be an integer >= 0"):
+                propagate_ensemble(ens, tl, 0.01, steps)
 
     def test_streaming_cannot_rewind(self, grid512, harmonic512):
         psi0 = coherent_state(grid512, 1.0, 1.0)

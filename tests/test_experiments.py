@@ -1,5 +1,6 @@
 """Config handling, scenario runs, sweeps, reports, CLI exit codes, replay."""
 
+import dataclasses
 import json
 import os
 
@@ -175,6 +176,13 @@ class TestSweep:
     def test_non_positive_or_non_finite_value_rejected_before_any_run(self, tmp_path, bad):
         with pytest.raises(ConfigError, match="sweep values"):
             sweep(fast_config(), "delta_t", [bad, 1e-4, 5e-5], tmp_path)
+        assert not (tmp_path / "value_0").exists()
+
+    @pytest.mark.parametrize("scenario", ["relaxation", "measurement", "conditional-pair"])
+    def test_scenario_without_sweep_metric_rejected(self, tmp_path, scenario):
+        cfg = ExperimentConfig.from_dict({"scenario": scenario})
+        with pytest.raises(ConfigError, match=f"scenario '{scenario}' has no sweep metric"):
+            sweep(cfg, "seed", [1, 2, 3], tmp_path)
         assert not (tmp_path / "value_0").exists()
 
 
@@ -370,7 +378,8 @@ class TestCli:
             return ({"rel_err_vs_gradQ": nan}, [Criterion("rel_err_vs_gradQ", nan, 1e-3)],
                     [], 0)
 
-        monkeypatch.setitem(experiments.SCENARIOS, "twofluid-verify", scenario)
+        monkeypatch.setitem(experiments.SCHEMAS, "twofluid-verify", dataclasses.replace(
+            experiments.SCHEMAS["twofluid-verify"], run=scenario))
         cfg = self.write_config(tmp_path, {"scenario": "twofluid-verify",
                                            "output_dir": str(tmp_path / "out")})
         assert cli_main(["run", cfg]) == 2

@@ -45,7 +45,7 @@ class TestGridSpec:
     def test_spacing_and_volume_consistency(self):
         g = GridSpec.regular((12.0, 8.0), (64, 32))
         assert g.spacing == (12.0 / 64, 8.0 / 32)
-        assert g.cell_volume * g.size == pytest.approx(g.domain_volume, rel=1e-15)
+        assert g.cell_volume * g.size == pytest.approx(12.0 * 8.0, rel=1e-15)
 
     def test_centered_origin(self):
         g = GridSpec.centered(10.0, 64)

@@ -22,7 +22,6 @@ from qfluid.oracle import (
     Potential,
     PropagatorState,
     coherent_state,
-    evolve_with_snapshots,
     gaussian_packet,
     harmonic_ground_state,
     plane_wave,
@@ -186,12 +185,9 @@ def test_quantum_potential_density_scale_invariance(scale):
 
 class TestResiduals:
     def test_stationary_eigenstate(self, grid512, harmonic512, ground512):
-        snaps = evolve_with_snapshots(
-            PropagatorState(ground512, 0.0, 1e-3), harmonic512, 2, 1
-        )
-        res = residuals_from_snapshots(
-            snaps[0].psi, snaps[1].psi, snaps[2].psi, harmonic512, 1e-3
-        )
+        mid = split_step_evolve(PropagatorState(ground512, 0.0, 1e-3), harmonic512, 1)
+        nxt = split_step_evolve(mid, harmonic512, 1)
+        res = residuals_from_snapshots(ground512, mid.psi, nxt.psi, harmonic512, 1e-3)
         assert res.continuity <= 1e-6
         assert res.momentum <= 1e-6
 
@@ -201,12 +197,9 @@ class TestResiduals:
             grid = GridSpec.centered(24.0, npts)
             potential = Potential.free(grid)
             psi = gaussian_packet(grid, 1.0, momentum=2.0)
-            snaps = evolve_with_snapshots(
-                PropagatorState(psi, 0.0, dt), potential, 2, 1
-            )
-            res = residuals_from_snapshots(
-                snaps[0].psi, snaps[1].psi, snaps[2].psi, potential, dt
-            )
+            mid = split_step_evolve(PropagatorState(psi, 0.0, dt), potential, 1)
+            nxt = split_step_evolve(mid, potential, 1)
+            res = residuals_from_snapshots(psi, mid.psi, nxt.psi, potential, dt)
             assert res.continuity <= 1e-3
             assert res.momentum <= 1e-3
             errs.append(max(res.continuity, res.momentum))
