@@ -41,7 +41,7 @@ current = ensemble
 capped, degraded = 0, False
 chunk = steps // 10
 for c in range(10):
-    result = propagate_ensemble(current, timeline, dt, chunk,
+    result = propagate_ensemble(current, timeline, chunk,
                                 record_history=False, t_start=c * chunk * dt)
     current = result.ensemble
     capped += result.events.capped

@@ -42,7 +42,7 @@ h0 = coarse_grained_H(ensemble, psi0, cell_size=8)
 print(f"{0.0:>12.2f} {h0:>10.4f}")
 current = ensemble
 for chunk in range(10):
-    result = propagate_ensemble(current, timeline, dt, steps // 10,
+    result = propagate_ensemble(current, timeline, steps // 10,
                                 record_history=False,
                                 t_start=chunk * (steps // 10) * dt)
     current = result.ensemble

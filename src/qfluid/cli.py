@@ -1,8 +1,8 @@
 """Command-line front door: run / sweep / report.
 
 Exit codes: 0 when every criterion passed, 1 when any failed, 2 for usage
-or configuration errors. The QFLUID_OUTPUT_ROOT environment variable
-prefixes all output directories.
+or configuration errors and for paths that cannot be read or written. The
+QFLUID_OUTPUT_ROOT environment variable prefixes all output directories.
 """
 
 from __future__ import annotations
@@ -76,7 +76,7 @@ def main(argv=None) -> int:
             summary = report(args.directory)
             print("\n".join(summary.lines()))
             return EXIT_PASS if summary.ok else EXIT_FAIL
-    except (QFluidError, FileNotFoundError) as exc:
+    except (QFluidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except (ValueError, TypeError, ArithmeticError) as exc:

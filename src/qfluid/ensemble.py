@@ -53,8 +53,8 @@ __all__ = [
 ]
 
 DEGRADED_CAP_FRACTION = 1e-3
-# trajectories per block of RK4 transport: a block's stage temporaries stay
-# in a 2 MB per-core L2 cache (4096 to 32768 measured; see CHANGES.md)
+# trajectories per block of RK4 transport (and of histogram binning): a block's
+# temporaries stay in a 2 MB per-core L2 cache (4096 to 32768 measured; see CHANGES.md)
 _BLOCK = 8192
 # the wave fields one RK4 step reads (t, t + dt/2, t + dt): what a timeline
 # keeps of its fields and velocity fields
@@ -379,124 +379,104 @@ class VelocityField:
         return out.reshape(pos.shape), flagged.reshape(point_shape)
 
 
-class WaveTimeline:
-    """Wave fields on a uniform half-step time lattice.
+class _Timeline:
+    """The half-step lattice and velocity cache both timelines share.
 
-    Entry j holds psi at t0 + j * (dt/2), which is exactly the set of times
-    an RK4 trajectory step of size dt needs. Velocity data per entry is
-    built lazily and only the three entries one step reads stay cached, so
-    sequential access builds each entry once.
+    Entry j holds psi at j * half_dt: the times an RK4 step of dt = 2 half_dt
+    reads. Velocity fields are built lazily and the last _RK4_FIELDS built
+    stay cached, evicted first in, first out, so sequential access builds
+    each entry once. A subclass supplies entry j's field (_field).
     """
 
-    def __init__(self, t0: float, half_dt: float, fields: list[WaveField],
+    def __init__(self, grid: GridSpec, half_dt: float, hbar: float, m: float):
+        self.grid = grid
+        self.half_dt = half_dt
+        self.hbar = hbar
+        self.m = m
+        self._velocities: dict[int, VelocityField] = {}
+
+    def index_of(self, t: float) -> int:
+        j = round(t / self.half_dt)
+        if abs(j * self.half_dt - t) > 1e-9 * max(1.0, abs(t)):
+            raise ConfigError(f"time {t!r} does not align with the half-step lattice")
+        return j
+
+    def _velocity(self, t: float) -> VelocityField:
+        j = self.index_of(t)
+        psi = self._field(j)
+        if j not in self._velocities:
+            if len(self._velocities) >= _RK4_FIELDS:
+                self._velocities.pop(next(iter(self._velocities)))
+            self._velocities[j] = VelocityField(psi, self.hbar, self.m)
+        return self._velocities[j]
+
+
+class WaveTimeline(_Timeline):
+    """Wave fields stored at every point of the half-step lattice."""
+
+    def __init__(self, half_dt: float, fields: list[WaveField],
                  hbar: float = 1.0, m: float = 1.0):
         if len(fields) < 3:
             raise ConfigError("timeline needs at least three stored fields")
-        self.t0 = t0
-        self.half_dt = half_dt
+        super().__init__(fields[0].grid, half_dt, hbar, m)
         self.fields = fields
-        self.hbar = hbar
-        self.m = m
-        self._cache: dict[int, VelocityField] = {}
 
     @classmethod
     def from_oracle(cls, psi0: WaveField, potential: Potential, dt: float,
-                    steps: int, hbar: float = 1.0, m: float = 1.0,
-                    t0: float = 0.0) -> "WaveTimeline":
+                    steps: int, hbar: float = 1.0, m: float = 1.0) -> "WaveTimeline":
         """Evolve psi0 with the split-operator propagator at half the
         trajectory step and store every state."""
-        state = PropagatorState(psi0, t0, dt / 2.0, hbar, m)
+        state = PropagatorState(psi0, 0.0, dt / 2.0, hbar, m)
         fields = [state.psi]
         for _ in range(2 * steps):
             state = split_step_evolve(state, potential, 1)
             fields.append(state.psi)
-        return cls(t0, dt / 2.0, fields, hbar, m)
+        return cls(dt / 2.0, fields, hbar, m)
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.fields[0].grid
-
-    def index_of(self, t: float) -> int:
-        j = round((t - self.t0) / self.half_dt)
+    def _field(self, j: int) -> WaveField:
         if not 0 <= j < len(self.fields):
-            raise ConfigError(f"time {t!r} outside the stored timeline")
-        if abs(self.t0 + j * self.half_dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigError(
-                f"time {t!r} does not align with the half-step lattice"
-            )
-        return j
+            raise ConfigError(f"lattice entry {j} outside the {len(self.fields)} stored fields")
+        return self.fields[j]
 
     def at(self, t: float) -> WaveField:
-        return self.fields[self.index_of(t)]
+        return self._field(self.index_of(t))
 
     def velocity(self, t: float) -> VelocityField:
-        j = self.index_of(t)
-        if j not in self._cache:
-            if len(self._cache) >= _RK4_FIELDS:
-                self._cache.pop(next(iter(self._cache)))
-            self._cache[j] = VelocityField(self.fields[j], self.hbar, self.m)
-        return self._cache[j]
+        return self._velocity(t)
 
 
-class OracleTimeline:
+class OracleTimeline(_Timeline):
     """Streaming counterpart of WaveTimeline for grids too large to store.
 
     Advances the split-operator propagator lazily on the same half-step
-    lattice and keeps the latest _RK4_FIELDS fields and their velocity
-    fields, the three one RK4 step reads. Time requests must move forward
-    (RK4 sub-stage order is fine); rewinding past them raises. Determinism
-    is unchanged: the split-step sequence is identical to the stored
-    variant.
+    lattice and keeps the latest _RK4_FIELDS fields. Time requests must move
+    forward (RK4 sub-stage order is fine); rewinding past them raises. The
+    split-step sequence is that of WaveTimeline.from_oracle.
     """
 
     def __init__(self, psi0: WaveField, potential: Potential, dt: float,
-                 hbar: float = 1.0, m: float = 1.0, t0: float = 0.0):
-        self.t0 = t0
-        self.half_dt = dt / 2.0
-        self.hbar = hbar
-        self.m = m
+                 hbar: float = 1.0, m: float = 1.0):
+        super().__init__(potential.grid, dt / 2.0, hbar, m)
         self.potential = potential
-        self._state = PropagatorState(psi0, t0, self.half_dt, hbar, m)
+        self._state = PropagatorState(psi0, 0.0, self.half_dt, hbar, m)
         self._index = 0
         self._fields: dict[int, WaveField] = {0: psi0}
-        self._velocities: dict[int, VelocityField] = {}
 
-    @property
-    def grid(self) -> GridSpec:
-        return self.potential.grid
-
-    def index_of(self, t: float) -> int:
-        j = round((t - self.t0) / self.half_dt)
-        if abs(self.t0 + j * self.half_dt - t) > 1e-9 * max(1.0, abs(t)):
-            raise ConfigError(
-                f"time {t!r} does not align with the half-step lattice"
-            )
-        return j
-
-    def _advance_to(self, j: int):
+    def _field(self, j: int) -> WaveField:
         if j < min(self._fields):
-            raise ConfigError(
-                "streaming timeline cannot rewind; use WaveTimeline to replay"
-            )
+            raise ConfigError("streaming timeline cannot rewind; use WaveTimeline to replay")
         while self._index < j:
             self._state = split_step_evolve(self._state, self.potential, 1)
             self._index += 1
             self._fields[self._index] = self._state.psi
-            for old in [k for k in self._fields if k <= self._index - _RK4_FIELDS]:
-                self._fields.pop(old)
-                self._velocities.pop(old, None)
-
-    def at(self, t: float) -> WaveField:
-        j = self.index_of(t)
-        self._advance_to(j)
+            self._fields.pop(self._index - _RK4_FIELDS, None)
         return self._fields[j]
 
+    def at(self, t: float) -> WaveField:
+        return self._field(self.index_of(t))
+
     def velocity(self, t: float) -> VelocityField:
-        j = self.index_of(t)
-        self._advance_to(j)
-        if j not in self._velocities:
-            self._velocities[j] = VelocityField(self._fields[j], self.hbar, self.m)
-        return self._velocities[j]
+        return self._velocity(t)
 
 
 def _shift_in(pos: np.ndarray, grid: GridSpec, exact: bool = False) -> np.ndarray:
@@ -531,14 +511,13 @@ class PropagationResult:
     degraded: bool
 
 
-def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
-                       dt: float, steps: int,
+def propagate_ensemble(ens: TrajectoryEnsemble, timeline, steps: int,
                        record_history: bool | int = True,
                        t_start: float | None = None) -> PropagationResult:
     """Classic RK4 transport of all trajectories through the timeline.
 
-    The timeline (stored WaveTimeline or streaming OracleTimeline) must sit
-    on the dt/2 lattice so the sub-stages hit stored fields exactly.
+    The step is dt = 2 * timeline.half_dt (stored WaveTimeline or streaming
+    OracleTimeline), so the sub-stages hit lattice fields exactly.
     Each step fetches its three velocity fields once, then runs all four
     stages and the position update on one block of _BLOCK trajectories
     before it moves to the next, so a block's temporaries stay in cache.
@@ -550,7 +529,7 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
     falls back to the mod). A trajectory counts as capped when any of its
     four RK4 stage evaluations hits the near-node velocity cap; runs where
     more than 0.1% of trajectories ever do are marked degraded and should be
-    excluded from acceptance statistics. t_start defaults to the timeline
+    excluded from acceptance statistics. t_start defaults to 0, the timeline
     origin; pass a later lattice time to continue a previous propagation.
     record_history is True (every trajectory), False (none) or an int n:
     the history of the first n trajectories only. Any other value, a numpy
@@ -568,8 +547,6 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
     _check_steps(steps)
     if timeline.grid != ens.grid:
         raise GridMismatchError("ensemble and timeline grids differ")
-    if abs(timeline.half_dt * 2.0 - dt) > 1e-12 * dt:
-        raise ConfigError("timeline half-step must equal dt/2")
     x = np.array(ens.positions, dtype=float)
     events = _TrajectoryEvents(ever_capped=np.zeros(ens.size, dtype=bool))
     if isinstance(record_history, bool):
@@ -580,14 +557,14 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
         raise ConfigError(f"record_history={record_history!r} is neither a bool nor "
                           f"a count of 0 to {ens.size} trajectories")
     history = [x[:keep].copy()] if record_history else None
-    t = timeline.t0 if t_start is None else t_start
+    t = 0.0 if t_start is None else t_start
     blocks = [slice(lo, lo + _BLOCK) for lo in range(0, ens.size, _BLOCK)]
     shares = _shares(ens.size) if isinstance(timeline, WaveTimeline) else 1
     if shares > 1 and (history is None or len(history[0]) <= 2 * _BLOCK):
-        _forked_transport(x, ens.positions, blocks, shares, timeline, dt, steps, t,
+        _forked_transport(x, ens.positions, blocks, shares, timeline, steps, t,
                           events, history)
     else:
-        _rk4(x, blocks, timeline, dt, steps, t, events, history)
+        _rk4(x, blocks, timeline, steps, t, events, history)
 
     capped_count = int(events.ever_capped.sum())
     out = replace(
@@ -603,13 +580,14 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline,
     )
 
 
-def _rk4(x: np.ndarray, blocks: list[slice], timeline, dt: float, steps: int, t: float,
+def _rk4(x: np.ndarray, blocks: list[slice], timeline, steps: int, t: float,
          events: _TrajectoryEvents, history: list | None = None):
-    """The serial block loop: `steps` RK4 steps from time t of the
-    trajectories in blocks of x, in place, counting into events (whose
-    ever_capped is indexed like x) and appending to history a copy of the
-    first len(history[0]) trajectories after each step."""
+    """The serial block loop: `steps` RK4 steps of 2 * timeline.half_dt
+    from time t of the trajectories in blocks of x, in place, counting into
+    events (whose ever_capped is indexed like x) and appending to history a
+    copy of the first len(history[0]) trajectories after each step."""
     grid = timeline.grid
+    dt = 2.0 * timeline.half_dt
     for n in range(steps):
         v0 = timeline.velocity(t)
         vh = timeline.velocity(t + dt / 2.0)
@@ -639,7 +617,7 @@ def _shares(n: int) -> int:
 
 
 def _forked_transport(x: np.ndarray, initial: np.ndarray, blocks: list[slice],
-                      shares: int, timeline, dt: float, steps: int, t: float,
+                      shares: int, timeline, steps: int, t: float,
                       events: _TrajectoryEvents, history: list | None = None):
     """_rk4 over all blocks of x, one contiguous share of blocks per process.
 
@@ -684,7 +662,7 @@ def _forked_transport(x: np.ndarray, initial: np.ndarray, blocks: list[slice],
                     try:
                         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
                         own = _TrajectoryEvents(ever_capped=events.ever_capped)
-                        _rk4(x, parts[j], timeline, dt, steps, t, own)
+                        _rk4(x, parts[j], timeline, steps, t, own)
                         counts[:] = own.evaluations, own.capped
                         with open(fds[1], "wb") as pipe:
                             for part in (counts, x[spans[j]], own.ever_capped[spans[j]]):
@@ -697,7 +675,7 @@ def _forked_transport(x: np.ndarray, initial: np.ndarray, blocks: list[slice],
                 pids[pid] = j
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        _rk4(x, parts[0], timeline, dt, steps, t, events, history)
+        _rk4(x, parts[0], timeline, steps, t, events, history)
         for pid, j in list(pids.items()):
             into = (counts, x[spans[j]], events.ever_capped[spans[j]])
             sent = [pipes[j].readinto(part) for part in into]
@@ -713,7 +691,7 @@ def _forked_transport(x: np.ndarray, initial: np.ndarray, blocks: list[slice],
             for block in failed:
                 x[block] = initial[block]
                 events.ever_capped[block] = False
-            _rk4(x, failed, timeline, dt, steps, t, events)
+            _rk4(x, failed, timeline, steps, t, events)
     finally:
         for pipe in pipes.values():
             pipe.close()
@@ -739,11 +717,15 @@ def sample_equilibrium(rho: ScalarField, n: int, seed: int) -> TrajectoryEnsembl
     1D uses the inverse of the piecewise-linear CDF built on cell edges,
     which samples exactly the piecewise-constant density the grid
     represents. 2D draws per-cell counts from a multinomial and jitters
-    uniformly inside each cell. Deterministic for a fixed seed.
+    uniformly inside each cell. Deterministic for a fixed seed. A density
+    with a non-finite value, or with no positive value, raises.
     """
     rng = np.random.default_rng(seed)
     grid = rho.grid
+    _check_finite(rho.values, "sampled density")
     vals = np.maximum(rho.values, 0.0)
+    if not vals.any():
+        raise ConfigError("sampled density has no positive value")
     if grid.dims == 1:
         edges, cdf = _cell_cdf(vals, grid)
         u = rng.random(n)
@@ -796,45 +778,46 @@ def _window(grid: GridSpec, axis: int, col: np.ndarray,
     return low + np.mod(col - low, extent), edges
 
 
-def _binned_density(grid: GridSpec, positions: np.ndarray,
-                    bins: tuple[int, ...]) -> np.ndarray:
-    """Histogram density of positions on the _window bins of every axis."""
-    pos = np.asarray(positions, dtype=float)
-    if grid.dims == 1:
-        wrapped, edges = _window(grid, 0, pos, bins[0])
-        counts, _ = np.histogram(wrapped, bins=edges)
-    else:
-        (wx, ex), (wy, ey) = (_window(grid, i, pos[:, i], bins[i]) for i in range(2))
-        counts, _, _ = np.histogram2d(wx, wy, bins=[ex, ey])
-    counts = counts.astype(float)
-    return counts / (counts.sum() * _bin_volume(grid, bins))
-
-
-def _bin_volume(grid: GridSpec, bins: tuple[int, ...]) -> float:
-    return float(np.prod([L / b for L, b in zip(grid.extent, bins)]))
-
-
 def _bin_index(grid: GridSpec, positions: np.ndarray,
                bins: tuple[int, ...]) -> np.ndarray:
-    """Flat (row-major) bin of each position on the bins of
-    _binned_density, or prod(bins) outside every bin.
+    """Flat (row-major) bin of each position on the _window bins of every
+    axis, or prod(bins) for a point in no bin; a ConfigError when no
+    position lies in any bin, as for an empty ensemble.
 
-    Same rule as np.histogram / np.histogram2d on the _window edges: bins
-    are half-open [e_k, e_k+1) except the last, which also holds its upper
-    edge.
+    numpy's equal-bin rule: a scaled guess, then one correction against
+    the edges. Bins are half-open [e_k, e_k+1) except the last, which also
+    holds its upper edge; a point past the last edge, or NaN, is in none,
+    as in np.histogram.
     """
     pos = np.asarray(positions, dtype=float)
-    columns = [pos] if grid.dims == 1 else [pos[:, 0], pos[:, 1]]
-    flat = np.zeros(columns[0].shape, dtype=np.int64)
-    outside = np.zeros(columns[0].shape, dtype=bool)
-    for i, (col, b) in enumerate(zip(columns, bins)):
-        wrapped, edges = _window(grid, i, col, b)
-        k = np.searchsorted(edges, wrapped, side="right") - 1
-        k[wrapped == edges[-1]] = b - 1
-        outside |= (k < 0) | (k >= b)
-        flat = flat * b + k
-    flat[outside] = int(np.prod(bins))
+    flat = np.zeros(len(pos), dtype=np.intp)
+    no_bin = int(np.prod(bins))
+    # block by block, as np.histogram counts, so the temporaries stay small
+    for lo in range(0, len(pos), _BLOCK):
+        part, into = pos[lo:lo + _BLOCK], flat[lo:lo + _BLOCK]
+        outside = np.zeros(len(part), dtype=bool)
+        for i, (col, b) in enumerate(zip([part] if grid.dims == 1 else part.T, bins)):
+            wrapped, edges = _window(grid, i, col, b)
+            first, last = edges[0], edges[-1]
+            out = ~((wrapped >= first) & (wrapped <= last))
+            outside |= out
+            wrapped[out] = first
+            k = ((wrapped - first) / (last - first) * b).astype(np.intp)
+            k[k == b] = b - 1
+            k[wrapped < edges[k]] -= 1
+            k[(wrapped >= edges[k + 1]) & (k != b - 1)] += 1
+            into *= b
+            into += k
+        into[outside] = no_bin
+    if not (flat < no_bin).any():
+        raise ConfigError(f"none of {len(pos)} positions lies in a histogram bin")
     return flat
+
+
+def _density(bin_of: np.ndarray, size: int, bin_volume: float) -> np.ndarray:
+    """Histogram density on `size` flat bins of bin indices bin_of (_bin_index)."""
+    counts = np.bincount(bin_of, minlength=size + 1)[:size]
+    return counts / (counts.sum() * bin_volume)
 
 
 def _checked_bins(grid: GridSpec, bins) -> tuple[int, ...]:
@@ -861,11 +844,9 @@ def equivariance_distance(ens: TrajectoryEnsemble, psi: WaveField,
     """L1 distance between the ensemble histogram and |psi|^2 on the bins."""
     if psi.grid != ens.grid:
         raise GridMismatchError("ensemble and wave field grids differ")
-    grid = ens.grid
-    bins = _checked_bins(grid, bins)
-    density = _binned_density(grid, ens.positions, bins)
-    rho_bar = _bin_average(psi.density().values, grid, bins)
-    return float(np.sum(np.abs(density - rho_bar)) * _bin_volume(grid, bins))
+    rho_bar, bin_volume, flat = _binned(ens, psi, _checked_bins(ens.grid, bins))
+    density = _density(flat, rho_bar.size, bin_volume)
+    return float(np.sum(np.abs(density - rho_bar)) * bin_volume)
 
 
 def coarse_grained_H(ens: TrajectoryEnsemble, psi: WaveField,
@@ -877,11 +858,7 @@ def coarse_grained_H(ens: TrajectoryEnsemble, psi: WaveField,
     under occupied particles are guarded with a tiny floor instead of
     returning infinity.
     """
-    grid = ens.grid
-    bins = _coarse_bins(grid, cell_size)
-    return _relative_entropy(_binned_density(grid, ens.positions, bins),
-                             _bin_average(psi.density().values, grid, bins),
-                             _bin_volume(grid, bins))
+    return _entropy(*_binned(ens, psi, _coarse_bins(ens.grid, cell_size)))
 
 
 def _coarse_bins(grid: GridSpec, cell_size: int) -> tuple[int, ...]:
@@ -896,7 +873,19 @@ def _coarse_bins(grid: GridSpec, cell_size: int) -> tuple[int, ...]:
     return tuple(n // cell_size for n in grid.points)
 
 
-def _relative_entropy(p_bar: np.ndarray, rho_bar: np.ndarray, bin_volume: float) -> float:
+def _binned(ens: TrajectoryEnsemble, psi: WaveField,
+            bins: tuple[int, ...]) -> tuple[np.ndarray, float, np.ndarray]:
+    """The flat bin averages of |psi|^2, the bin volume and each
+    trajectory's bin (_bin_index)."""
+    grid = ens.grid
+    rho_bar = _bin_average(psi.density().values, grid, bins).ravel()
+    bin_volume = float(np.prod([L / b for L, b in zip(grid.extent, bins)]))
+    return rho_bar, bin_volume, _bin_index(grid, ens.positions, bins)
+
+
+def _entropy(rho_bar: np.ndarray, bin_volume: float, bin_of: np.ndarray) -> float:
+    """Relative entropy of the histogram of bin indices bin_of against rho_bar."""
+    p_bar = _density(bin_of, rho_bar.size, bin_volume)
     mask = p_bar > 0
     ratio = p_bar[mask] / np.maximum(rho_bar[mask], 1e-300)
     return float(np.sum(p_bar[mask] * np.log(ratio)) * bin_volume)
@@ -912,17 +901,9 @@ def bootstrap_coarse_H(ens: TrajectoryEnsemble, psi: WaveField,
     gives the same histogram density as binning the positions, on flat bins
     in the same order: the estimate equals coarse_grained_H bit for bit.
     """
-    grid = ens.grid
-    bins = _coarse_bins(grid, cell_size)
-    rho_bar = _bin_average(psi.density().values, grid, bins).ravel()
-    bin_volume = _bin_volume(grid, bins)
-    flat = _bin_index(grid, ens.positions, bins)
-
-    def entropy(bin_of):
-        counts = np.bincount(bin_of, minlength=rho_bar.size + 1)[:rho_bar.size]
-        return _relative_entropy(counts / (counts.sum() * bin_volume), rho_bar, bin_volume)
-
+    rho_bar, bin_volume, flat = _binned(ens, psi, _coarse_bins(ens.grid, cell_size))
     rng = np.random.default_rng(seed)
-    samples = [entropy(flat[rng.integers(0, ens.size, size=ens.size)]) for _ in range(n_boot)]
+    samples = [_entropy(rho_bar, bin_volume, flat[rng.integers(0, ens.size, size=ens.size)])
+               for _ in range(n_boot)]
     lo, hi = np.percentile(samples, [2.5, 97.5])
-    return entropy(flat), float(lo), float(hi)
+    return _entropy(rho_bar, bin_volume, flat), float(lo), float(hi)

@@ -388,7 +388,7 @@ def _scenario_equivariance(p: SimpleNamespace, outdir: Path):
     current = ens
     chunk = steps // p.checkpoints
     for c in range(1, p.checkpoints + 1):
-        result = propagate_ensemble(current, timeline, dt, chunk,
+        result = propagate_ensemble(current, timeline, chunk,
                                     record_history=n_sample,
                                     t_start=(c - 1) * chunk * dt)
         current = result.ensemble
@@ -445,7 +445,7 @@ def _scenario_relaxation(p: SimpleNamespace, outdir: Path):
     chunk = steps // p.checkpoints
     worst_excess = -np.inf
     for c in range(p.checkpoints):
-        res = propagate_ensemble(current, timeline, dt, chunk,
+        res = propagate_ensemble(current, timeline, chunk,
                                  record_history=False, t_start=c * chunk * dt)
         current = res.ensemble
         capped += res.capped_trajectories
@@ -574,15 +574,15 @@ def _scenario_conditional_pair(p: SimpleNamespace, outdir: Path):
     dt = period / steps
     pair = propagate_ensemble(
         TrajectoryEnsemble(grid=grid2, positions=np.array([[p.x1, p.x2]])),
-        OracleTimeline(product, joint_pot, dt, hbar, m), dt, steps,
+        OracleTimeline(product, joint_pot, dt, hbar, m), steps,
     )
     single_a = propagate_ensemble(
         TrajectoryEnsemble(grid=grid1, positions=np.array([p.x1])),
-        OracleTimeline(a, u1, dt, hbar, m), dt, steps, record_history=False,
+        OracleTimeline(a, u1, dt, hbar, m), steps, record_history=False,
     )
     single_b = propagate_ensemble(
         TrajectoryEnsemble(grid=grid1, positions=np.array([p.x2])),
-        OracleTimeline(b, u1, dt, hbar, m), dt, steps, record_history=False,
+        OracleTimeline(b, u1, dt, hbar, m), steps, record_history=False,
     )
     moved, history = pair.ensemble.positions[0], pair.ensemble.history[:, 0]
     pair_gap = max(
@@ -932,6 +932,30 @@ class ReportSummary:
                 + ["overall: " + ("PASS" if self.ok else "FAIL")])
 
 
+def _manifest_problem(doc) -> str | None:
+    """Why a parsed run manifest cannot be aggregated, or None."""
+    if not isinstance(doc, dict):
+        return "not a JSON object"
+    metrics = doc.get("metrics")
+    if not metrics:
+        return "empty metrics block"
+    if not isinstance(metrics, dict):
+        return "metrics block is not a JSON object"
+    if any(v is None for v in metrics.values()):
+        return "null metric value"
+    bad = sorted(k for k, v in metrics.items()
+                 if not (isinstance(v, (int, float)) and np.isfinite(v)))
+    if bad:
+        return f"non-finite metric value ({', '.join(bad)})"
+    if not doc.get("passed") and "scenario" not in doc:
+        return "failed run names no scenario"
+    criteria = doc.get("criteria", [])
+    if not (isinstance(criteria, list)
+            and all(isinstance(c, dict) and "name" in c and "pass" in c for c in criteria)):
+        return "criterion without a name or pass flag"
+    return None
+
+
 def report(directory, outdir=None) -> ReportSummary:
     """Aggregate run manifests under a directory into one verdict."""
     directory = Path(directory)
@@ -942,19 +966,15 @@ def report(directory, outdir=None) -> ReportSummary:
     integrity = []
     passed = 0
     for path in manifest_paths:
-        doc = json.loads(path.read_text())
-        if not doc.get("metrics"):
-            integrity.append(f"{path}: empty metrics block")
+        try:
+            doc = json.loads(path.read_text())
+        except ValueError:
+            integrity.append(f"{path}: not valid JSON")
             continue
-        if any(v is None for v in doc["metrics"].values()):
-            integrity.append(f"{path}: null metric value")
-            continue
-        bad = sorted(k for k, v in doc["metrics"].items()
-                     if not (isinstance(v, (int, float)) and np.isfinite(v)))
-        if bad:
-            integrity.append(f"{path}: non-finite metric value ({', '.join(bad)})")
-            continue
-        if doc.get("passed"):
+        problem = _manifest_problem(doc)
+        if problem:
+            integrity.append(f"{path}: {problem}")
+        elif doc.get("passed"):
             passed += 1
         else:
             failed = [c["name"] for c in doc.get("criteria", []) if not c["pass"]]

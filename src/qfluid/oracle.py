@@ -14,6 +14,7 @@ eigenfunctions real-valued and parity-clean on symmetric potentials.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -65,6 +66,11 @@ class Potential:
     def values(self) -> np.ndarray:
         return self.field.values
 
+    @cached_property
+    def _phase_factors(self) -> dict:
+        """_split_phases's factors, keyed by (dt, hbar, m)."""
+        return {}
+
     @classmethod
     def free(cls, grid: GridSpec) -> "Potential":
         return cls(ScalarField(grid, np.zeros(grid.shape)))
@@ -90,26 +96,17 @@ class PropagatorState:
     m: float = 1.0
 
 
-# (id(potential), dt, hbar, m) -> (potential, half_v, kin). Each entry holds
-# its potential, so the id in its key cannot be reused by another object,
-# and potential values are frozen, so the phases never go stale.
-_PHASE_CACHE: dict[tuple, tuple] = {}
-_PHASE_CACHE_SIZE = 4
-
-
 def _split_phases(potential: Potential, dt: float, hbar: float, m: float):
-    """Half potential phase and kinetic phase of one Strang step, cached."""
-    key = (id(potential), dt, hbar, m)
-    hit = _PHASE_CACHE.get(key)
+    """Half potential phase and kinetic phase of one Strang step, cached on
+    the (frozen) potential."""
+    hit = potential._phase_factors.get((dt, hbar, m))
     if hit is None:
-        if len(_PHASE_CACHE) >= _PHASE_CACHE_SIZE:
-            _PHASE_CACHE.pop(next(iter(_PHASE_CACHE)))
         half_v = np.exp(-0.5j * potential.values * dt / hbar)
         kin = np.exp(-1j * hbar * potential.grid.k_squared() * dt / (2.0 * m))
         half_v.setflags(write=False)
         kin.setflags(write=False)
-        hit = _PHASE_CACHE[key] = (potential, half_v, kin)
-    return hit[1], hit[2]
+        hit = potential._phase_factors[dt, hbar, m] = (half_v, kin)
+    return hit
 
 
 def _check_steps(steps):
@@ -125,7 +122,7 @@ def split_step_evolve(state: PropagatorState, potential: Potential,
     """Advance `steps` Strang-split steps of size state.dt.
 
     The two phase factors of a step depend only on the potential, dt,
-    hbar and m; they are kept in a small cache, so the one-step calls
+    hbar and m; they are cached on the potential, so the one-step calls
     the timelines make do not rebuild two complex exponentials each time.
     All stages run in one array per call, which the returned field owns.
 

@@ -240,7 +240,7 @@ def test_criterion_9_determinism(tmp_path):
     ).normalized()
     timeline = WaveTimeline.from_oracle(psi0, potential, 0.02, 40)
     ens = sample_equilibrium(psi0.density(), 500, seed=2024)
-    h1 = propagate_ensemble(ens, timeline, 0.02, 40).ensemble.history
-    h2 = propagate_ensemble(ens, timeline, 0.02, 40).ensemble.history
+    h1 = propagate_ensemble(ens, timeline, 40).ensemble.history
+    h2 = propagate_ensemble(ens, timeline, 40).ensemble.history
     assert np.array_equal(h1, h2)
     _announce(9, "byte-identical replay", f"{compared} data files compared")

@@ -271,7 +271,7 @@ class TestPairTransport:
         timeline2 = OracleTimeline(product.psi, joint_pot, dt)
         pair = propagate_ensemble(
             TrajectoryEnsemble(grid=grid2, positions=np.array([[-2.2, 2.8]])),
-            timeline2, dt, steps,
+            timeline2, steps,
         ).ensemble
 
         singles = []
@@ -279,7 +279,7 @@ class TestPairTransport:
             tl = OracleTimeline(psi0, u1, dt)
             ens = TrajectoryEnsemble(grid=line, positions=np.array([x0]))
             singles.append(
-                propagate_ensemble(ens, tl, dt, steps,
+                propagate_ensemble(ens, tl, steps,
                                    record_history=False).ensemble.positions[0]
             )
         assert abs(pair.positions[0, 0] - singles[0]) <= 1e-6
@@ -294,9 +294,9 @@ class TestPairTransport:
             grid2, np.outer(pairs1[0][1].values, pairs1[0][1].values)
         ).normalized()
         # frozen timeline: a real eigenstate product generates no flow
-        tl = WaveTimeline(0.0, 0.005, [psi] * 41)
+        tl = WaveTimeline(0.005, [psi] * 41)
         ens = TrajectoryEnsemble(grid=grid2, positions=np.array([[-0.8, 0.5]]))
-        moved = propagate_ensemble(ens, tl, 0.01, 20).ensemble.positions[0]
+        moved = propagate_ensemble(ens, tl, 20).ensemble.positions[0]
         assert moved[0] == pytest.approx(-0.8, abs=1e-12)
         assert moved[1] == pytest.approx(0.5, abs=1e-12)
 
@@ -314,7 +314,7 @@ class TestPairTransport:
         dt = period / steps
         ens = sample_equilibrium(psi0.density(), 10000, seed=77)
         timeline = OracleTimeline(psi0, joint_pot, dt)
-        res = propagate_ensemble(ens, timeline, dt, steps, record_history=False)
+        res = propagate_ensemble(ens, timeline, steps, record_history=False)
         l1 = equivariance_distance(res.ensemble, timeline.at(period), 32)
         assert l1 <= 0.05
         assert not res.degraded

@@ -43,7 +43,7 @@ from qfluid.ensemble import (
 
 def static_timeline(psi, dt, steps):
     """Timeline of a frozen wave field (exact stationary dynamics)."""
-    return WaveTimeline(0.0, dt / 2, [psi] * (2 * steps + 1))
+    return WaveTimeline(dt / 2, [psi] * (2 * steps + 1))
 
 
 class TestGuidingVelocity:
@@ -94,7 +94,7 @@ class TestPropagation:
     def test_stationary_state_positions_static(self, grid512, ground512):
         tl = static_timeline(ground512, 0.01, 40)
         ens = sample_equilibrium(ground512.density(), 50, seed=3)
-        res = propagate_ensemble(ens, tl, 0.01, 40)
+        res = propagate_ensemble(ens, tl, 40)
         assert np.abs(res.ensemble.positions - ens.positions).max() <= 1e-10
         assert not res.degraded
 
@@ -108,7 +108,7 @@ class TestPropagation:
         # so the drift velocity is exact
         x0 = np.array([-5.0, 0.0, 3.3])
         ens = TrajectoryEnsemble(grid=grid512, positions=x0)
-        res = propagate_ensemble(ens, tl, dt, steps)
+        res = propagate_ensemble(ens, tl, steps)
         expected = grid512.wrap(x0 + k * steps * dt, 0)
         assert np.abs(res.ensemble.positions - expected).max() <= 1e-9
 
@@ -119,8 +119,8 @@ class TestPropagation:
         ).normalized()
         tl = WaveTimeline.from_oracle(psi0, harmonic512, 0.02, 50)
         ens = sample_equilibrium(psi0.density(), 200, seed=11)
-        r1 = propagate_ensemble(ens, tl, 0.02, 50)
-        r2 = propagate_ensemble(ens, tl, 0.02, 50)
+        r1 = propagate_ensemble(ens, tl, 50)
+        r2 = propagate_ensemble(ens, tl, 50)
         assert r1.ensemble.history.shape == (51, 200)
         assert np.array_equal(r1.ensemble.history, r2.ensemble.history)
 
@@ -141,7 +141,7 @@ class TestPropagation:
         edges = grid512.origin[0] + h * (np.arange(grid512.points[0] + 1) - 0.5)
         x0 = np.interp((np.arange(64) + 0.5) / 64, cdf, edges)
         ens = TrajectoryEnsemble(grid=grid512, positions=x0)
-        res = propagate_ensemble(ens, tl, dt, steps)
+        res = propagate_ensemble(ens, tl, steps)
         for row in res.ensemble.history[:: steps // 100]:
             assert (np.diff(row) > 0).all(), "trajectory ordering broke"
 
@@ -151,7 +151,7 @@ class TestPropagation:
         psi = pairs[1][1]
         tl = static_timeline(psi, 0.001, 3)
         ens = TrajectoryEnsemble(grid=grid512, positions=np.zeros(10))
-        res = propagate_ensemble(ens, tl, 0.001, 3)
+        res = propagate_ensemble(ens, tl, 3)
         assert res.events.capped > 0
         assert res.degraded
 
@@ -183,7 +183,7 @@ class TestPropagation:
     def test_stage_caps_mark_the_trajectory(self, grid512, harmonic512):
         psi, dt, x0 = self._midpoint_on_node(grid512, harmonic512)
         ens = TrajectoryEnsemble(grid=grid512, positions=np.array([x0]))
-        res = propagate_ensemble(ens, static_timeline(psi, dt, 1), dt, 1)
+        res = propagate_ensemble(ens, static_timeline(psi, dt, 1), 1)
         assert res.events.capped >= 1
         assert res.capped_trajectories == 1
         assert res.degraded
@@ -195,16 +195,20 @@ class TestPropagation:
         psi, dt, x0 = self._midpoint_on_node(grid512, harmonic512)
         x = np.array([-2.0, x0, 1.5])
         events = ensemble_module._TrajectoryEvents(ever_capped=np.zeros(3, dtype=bool))
-        ensemble_module._rk4(x, [slice(0, 3)], static_timeline(psi, dt, 1), dt, 1, 0.0,
+        ensemble_module._rk4(x, [slice(0, 3)], static_timeline(psi, dt, 1), 1, 0.0,
                              events)
         assert events.ever_capped.tolist() == [False, True, False]
         assert (events.evaluations, events.capped) == (12, 1)
 
-    def test_misaligned_dt_rejected(self, grid512, ground512):
+    def test_misaligned_t_start_rejected(self, grid512, ground512):
         tl = static_timeline(ground512, 0.01, 10)
         ens = sample_equilibrium(ground512.density(), 10, seed=0)
-        with pytest.raises(ConfigError):
-            propagate_ensemble(ens, tl, 0.02, 5)
+        with pytest.raises(ConfigError, match="half-step lattice"):
+            propagate_ensemble(ens, tl, 5, t_start=0.0125)
+        # the step comes from the timeline: a call that still passes dt
+        # before the step count reads dt as the count
+        with pytest.raises(ConfigError, match="steps must be an integer"):
+            propagate_ensemble(ens, tl, 0.01, 5)
 
     def test_streaming_timeline_matches_stored(self, grid512, harmonic512):
         psi0 = coherent_state(grid512, 1.0, 1.0)
@@ -212,8 +216,8 @@ class TestPropagation:
         stored = WaveTimeline.from_oracle(psi0, harmonic512, dt, steps)
         streaming = OracleTimeline(psi0, harmonic512, dt)
         ens = sample_equilibrium(psi0.density(), 100, seed=5)
-        r1 = propagate_ensemble(ens, stored, dt, steps)
-        r2 = propagate_ensemble(ens, streaming, dt, steps)
+        r1 = propagate_ensemble(ens, stored, steps)
+        r2 = propagate_ensemble(ens, streaming, steps)
         assert np.array_equal(r1.ensemble.positions, r2.ensemble.positions)
 
     def test_checkpoint_calls_build_each_stored_field_once(self, monkeypatch, grid512,
@@ -231,7 +235,7 @@ class TestPropagation:
         tl = WaveTimeline.from_oracle(psi0, harmonic512, dt, 10 * chunk)
         ens = sample_equilibrium(psi0.density(), 200, seed=3)
         for c in range(10):
-            ens = propagate_ensemble(ens, tl, dt, chunk, record_history=False,
+            ens = propagate_ensemble(ens, tl, chunk, record_history=False,
                                      t_start=c * chunk * dt).ensemble
         assert built == [id(f) for f in tl.fields]
 
@@ -241,7 +245,7 @@ class TestPropagation:
         # a numpy bool is no int: read as a count it would keep one history
         for n in (-1, 11, 2.0, np.True_):
             with pytest.raises(ConfigError, match="record_history"):
-                propagate_ensemble(ens, tl, 0.01, 2, record_history=n)
+                propagate_ensemble(ens, tl, 2, record_history=n)
 
     def test_bad_steps_rejected(self, grid512, ground512):
         tl = static_timeline(ground512, 0.01, 2)
@@ -250,7 +254,7 @@ class TestPropagation:
         # range() as a TypeError
         for steps in (-2, 2.5, True):
             with pytest.raises(ConfigError, match="steps must be an integer >= 0"):
-                propagate_ensemble(ens, tl, 0.01, steps)
+                propagate_ensemble(ens, tl, steps)
 
     def test_streaming_cannot_rewind(self, grid512, harmonic512):
         psi0 = coherent_state(grid512, 1.0, 1.0)
@@ -305,6 +309,15 @@ class TestSampling:
         a = sample_equilibrium(rho, 1000, seed=77)
         b = sample_equilibrium(rho, 1000, seed=77)
         assert np.array_equal(a.positions, b.positions)
+
+    @pytest.mark.parametrize("points", [(256,), (32, 32)])
+    def test_degenerate_density_rejected(self, points):
+        # unchecked, 1D drew NaN positions and 2D raised a bare ValueError
+        grid = GridSpec.regular((16.0,) * len(points), points)
+        with pytest.raises(ConfigError, match="no positive value"):
+            sample_equilibrium(ScalarField(grid, np.zeros(points)), 10, seed=0)
+        with pytest.raises(NonFiniteFieldError):
+            sample_equilibrium(ScalarField(grid, np.full(points, np.nan)), 10, seed=0)
 
 
 class TestEquivariance:
@@ -390,6 +403,14 @@ class TestCoarseGrainedH:
         h, lo, hi = bootstrap_coarse_H(ens, ground512, 8, n_boot=100, seed=1)
         assert lo <= h <= hi
         assert hi - lo <= 0.05
+
+    def test_empty_ensemble_rejected(self, grid512, ground512):
+        # unchecked, H read 0.0 (equilibrium) and the L1 distance nan
+        ens = TrajectoryEnsemble(grid=grid512, positions=np.zeros(0))
+        for statistic, arg in ((coarse_grained_H, 8), (bootstrap_coarse_H, 8),
+                               (equivariance_distance, 64)):
+            with pytest.raises(ConfigError, match="none of 0 positions"):
+                statistic(ens, ground512, arg)
 
 
 def _rehistogram(grid, pos, bins):
@@ -488,8 +509,9 @@ def test_bootstrap_matches_rehistogram_2d():
 def test_histogram_density_normalized():
     grid = GridSpec.regular(16.0, 256)
     rng = np.random.default_rng(9)
-    density = ensemble_module._binned_density(grid, rng.uniform(0, 16, 5000), (64,))
-    total = density.sum() * ensemble_module._bin_volume(grid, (64,))
+    volume = 16.0 / 64
+    bin_of = ensemble_module._bin_index(grid, rng.uniform(0, 16, 5000), (64,))
+    total = ensemble_module._density(bin_of, 64, volume).sum() * volume
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
@@ -752,11 +774,37 @@ def test_streaming_2d_transport_holds_one_step_of_fields():
     streaming = _WatchedStream(psi0, potential, dt)
     start = np.random.default_rng(4).uniform(-3.0, 3.0, (300, 2))
     ens = TrajectoryEnsemble(grid=grid, positions=start)
-    want = propagate_ensemble(ens, stored, dt, chunk * calls, record_history=False)
+    want = propagate_ensemble(ens, stored, chunk * calls, record_history=False)
     for c in range(calls):
-        ens = propagate_ensemble(ens, streaming, dt, chunk, record_history=False,
+        ens = propagate_ensemble(ens, streaming, chunk, record_history=False,
                                  t_start=c * chunk * dt).ensemble
     assert streaming.held == 3
+    assert ens.positions.tobytes() == want.ensemble.positions.tobytes()
+
+
+class _WatchedStore(WaveTimeline):
+    """A stored timeline that records the most velocity fields it ever held
+    at once."""
+
+    held = 0
+
+    def velocity(self, t):
+        v = super().velocity(t)
+        self.held = max(self.held, len(self._velocities))
+        return v
+
+
+def test_stored_transport_holds_one_step_of_velocity_fields(grid512, harmonic512):
+    psi0 = coherent_state(grid512, 1.0, 1.0)
+    dt, chunk, calls = 0.02, 3, 4
+    stored = WaveTimeline.from_oracle(psi0, harmonic512, dt, chunk * calls)
+    watched = _WatchedStore(stored.half_dt, stored.fields)
+    ens = sample_equilibrium(psi0.density(), 300, seed=6)
+    want = propagate_ensemble(ens, stored, chunk * calls, record_history=False)
+    for c in range(calls):
+        ens = propagate_ensemble(ens, watched, chunk, record_history=False,
+                                 t_start=c * chunk * dt).ensemble
+    assert watched.held == ensemble_module._RK4_FIELDS
     assert ens.positions.tobytes() == want.ensemble.positions.tobytes()
 
 
@@ -774,7 +822,7 @@ def _whole_array_rk4(ens, timeline, dt, steps):
     x = np.array(ens.positions, dtype=float)
     events = ensemble_module._TrajectoryEvents(ever_capped=np.zeros(ens.size, dtype=bool))
     history = [x.copy()]
-    t = timeline.t0
+    t = 0.0
     shift_in = ensemble_module._shift_in
     for _ in range(steps):
         v0 = timeline.velocity(t)
@@ -801,7 +849,7 @@ def _node_timeline(dims, dt, steps):
     grid = GridSpec.centered((16.0, 12.0), (32, 24))
     x, y = grid.meshgrid()
     psi = WaveField(grid, x * np.exp(-(x**2 + y**2) / 2 + 1j * (0.5 * x + 0.3 * y)))
-    return WaveTimeline(0.0, dt / 2, [psi] * (2 * steps + 1))
+    return WaveTimeline(dt / 2, [psi] * (2 * steps + 1))
 
 
 B = ensemble_module._BLOCK
@@ -822,7 +870,7 @@ def test_blocked_transport_equals_whole_array_loop(dims, size):
     if dims == 1:
         positions = positions[:, 0]
     ens = TrajectoryEnsemble(grid=grid, positions=positions)
-    res = propagate_ensemble(ens, timeline, dt, steps)
+    res = propagate_ensemble(ens, timeline, steps)
     x, history, events = _whole_array_rk4(ens, timeline, dt, steps)
     assert np.array_equal(res.ensemble.positions, x)
     assert np.array_equal(res.ensemble.history, history)
@@ -945,15 +993,15 @@ def _outcome(res):
 def test_forked_transport_is_bit_identical_to_serial(monkeypatch, dims):
     ens, timeline, dt, steps = _forked_case(dims)
     forks = _on_cpus(monkeypatch, 1)
-    serial = propagate_ensemble(ens, timeline, dt, steps, record_history=False)
+    serial = propagate_ensemble(ens, timeline, steps, record_history=False)
     assert not forks
     assert serial.capped_trajectories > 0
     forks = _on_cpus(monkeypatch, 2)
-    forked = propagate_ensemble(ens, timeline, dt, steps, record_history=False)
+    forked = propagate_ensemble(ens, timeline, steps, record_history=False)
     assert len(forks) == 1
     assert _outcome(forked) == _outcome(serial)
     # a history is recorded in the serial loop, with the same positions
-    with_history = propagate_ensemble(ens, timeline, dt, steps)
+    with_history = propagate_ensemble(ens, timeline, steps)
     assert len(forks) == 1
     assert _outcome(with_history) == _outcome(serial)
     with pytest.raises(ChildProcessError):
@@ -965,18 +1013,18 @@ def test_forked_transport_is_bit_identical_to_serial(monkeypatch, dims):
 def test_forked_transport_records_the_first_histories(monkeypatch, dims):
     ens, timeline, dt, steps = _forked_case(dims)
     _on_cpus(monkeypatch, 1)
-    serial = propagate_ensemble(ens, timeline, dt, steps)
+    serial = propagate_ensemble(ens, timeline, steps)
     forks = _on_cpus(monkeypatch, 2)
     # the parent's share holds at least two blocks and records them
     for n in (1, 100, 2 * B):
-        forked = propagate_ensemble(ens, timeline, dt, steps, record_history=n)
+        forked = propagate_ensemble(ens, timeline, steps, record_history=n)
         want = serial.ensemble.history[:, :n]
         assert forked.ensemble.history.shape == want.shape
         assert forked.ensemble.history.tobytes() == want.tobytes()
         assert _outcome(forked) == _outcome(serial)
     assert len(forks) == 3
     # a longer history stays in one process
-    longer = propagate_ensemble(ens, timeline, dt, steps, record_history=2 * B + 1)
+    longer = propagate_ensemble(ens, timeline, steps, record_history=2 * B + 1)
     assert len(forks) == 3
     assert longer.ensemble.history.tobytes() == serial.ensemble.history[:, :2 * B + 1].tobytes()
     with pytest.raises(ChildProcessError):
@@ -996,11 +1044,11 @@ class _WorkerFails(WaveTimeline):
 def test_failed_worker_share_is_rerun_by_the_parent(monkeypatch):
     ens, timeline, dt, steps = _forked_case(1)
     _on_cpus(monkeypatch, 1)
-    serial = propagate_ensemble(ens, timeline, dt, steps, record_history=False)
-    failing = _WorkerFails(timeline.t0, timeline.half_dt, timeline.fields)
+    serial = propagate_ensemble(ens, timeline, steps, record_history=False)
+    failing = _WorkerFails(timeline.half_dt, timeline.fields)
     failing.maker = os.getpid()
     forks = _on_cpus(monkeypatch, 2)
-    rerun = propagate_ensemble(ens, failing, dt, steps, record_history=False)
+    rerun = propagate_ensemble(ens, failing, steps, record_history=False)
     assert len(forks) == 1
     assert _outcome(rerun) == _outcome(serial)
     with pytest.raises(ChildProcessError):
@@ -1012,10 +1060,10 @@ def test_forked_transport_past_the_timeline_raises_and_leaves_no_child(monkeypat
     ens, timeline, dt, steps = _forked_case(1)
     _on_cpus(monkeypatch, 1)
     with pytest.raises(ConfigError) as serial:
-        propagate_ensemble(ens, timeline, dt, steps + 1, record_history=False)
+        propagate_ensemble(ens, timeline, steps + 1, record_history=False)
     forks = _on_cpus(monkeypatch, 2)
     with pytest.raises(ConfigError) as forked:
-        propagate_ensemble(ens, timeline, dt, steps + 1, record_history=False)
+        propagate_ensemble(ens, timeline, steps + 1, record_history=False)
     assert len(forks) == 1
     assert str(forked.value) == str(serial.value)
     with pytest.raises(ChildProcessError):

@@ -117,9 +117,9 @@ class TestRun:
         calls = []
         transport = experiments.propagate_ensemble
 
-        def recording(ens, timeline, dt, steps, **kwargs):
-            calls.append((ens, timeline, dt))
-            return transport(ens, timeline, dt, steps, **kwargs)
+        def recording(ens, timeline, steps, **kwargs):
+            calls.append((ens, timeline))
+            return transport(ens, timeline, steps, **kwargs)
 
         forks = []
         fork = os.fork
@@ -131,9 +131,10 @@ class TestRun:
             "scenario": "equivariance", "n_trajectories": 4 * ensemble._BLOCK,
             "steps": steps, "checkpoints": 10, "seed": 3}), tmp_path)
         assert len(calls) == 10 and len(forks) == 10
-        start, timeline, dt = calls[0]
+        start, timeline = calls[0]
         sample = ensemble.TrajectoryEnsemble(grid=start.grid, positions=start.positions[:100])
-        history = transport(sample, timeline, dt, steps).ensemble.history
+        history = transport(sample, timeline, steps).ensemble.history
+        dt = 2.0 * timeline.half_dt
         rows = [[tid, j * dt, history[j, tid]] for tid in range(100)
                 for j in range(0, steps + 1, max(1, steps // 32))]
         want = experiments._write_table(tmp_path / "replay.csv", ["traj_id", "t", "x"], rows)
@@ -229,6 +230,34 @@ class TestReport:
         with pytest.raises(ConfigError):
             report(tmp_path)
 
+    @pytest.mark.parametrize("shape, problem", [
+        (lambda doc: [doc], "not a JSON object"),
+        (lambda doc: dict(doc, metrics=list(doc["metrics"].values())),
+         "metrics block is not a JSON object"),
+        (lambda doc: {k: v for k, v in doc.items() if k != "scenario"},
+         "failed run names no scenario"),
+        (lambda doc: dict(doc, criteria=[{"name": c["name"]} for c in doc["criteria"]]),
+         "criterion without a name or pass flag"),
+    ], ids=["list", "metrics-list", "no-scenario", "no-pass"])
+    def test_malformed_manifest_is_integrity_failure(self, tmp_path, shape, problem):
+        # each shape used to abort the whole report with a traceback
+        run(fast_config(), tmp_path / "good")
+        run(fast_config(tolerances={"rel_err": 1e-9}), tmp_path / "odd")
+        path = tmp_path / "odd" / "run_manifest.json"
+        path.write_text(json.dumps(shape(json.loads(path.read_text()))))
+        summary = report(tmp_path)
+        assert (summary.total, summary.passed, summary.failures) == (2, 1, [])
+        assert summary.integrity_errors == [f"{path}: {problem}"]
+
+    def test_unparsable_manifest_is_integrity_failure(self, tmp_path):
+        run(fast_config(), tmp_path / "good")
+        (tmp_path / "cut").mkdir()
+        (tmp_path / "cut" / "run_manifest.json").write_text('{"metrics": {')
+        summary = report(tmp_path)
+        assert summary.passed == 1
+        assert summary.integrity_errors == [f"{tmp_path / 'cut' / 'run_manifest.json'}: "
+                                            "not valid JSON"]
+
 
 class TestCli:
     def write_config(self, tmp_path, doc):
@@ -259,6 +288,21 @@ class TestCli:
 
     def test_missing_file_exit_two(self, tmp_path):
         assert cli_main(["run", str(tmp_path / "absent.json")]) == 2
+
+    def test_config_path_that_is_a_directory_exit_two(self, tmp_path, capsys):
+        assert cli_main(["run", str(tmp_path)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_output_dir_that_is_a_file_exit_two(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        cfg = self.write_config(
+            tmp_path, {"scenario": "twofluid-verify", "output_dir": str(taken)}
+        )
+        assert cli_main(["run", cfg]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
 
     def test_sweep_and_report_flow(self, tmp_path, capsys):
         out_dir = tmp_path / "runs"

@@ -132,8 +132,6 @@ class TestSplitStep:
         x = grid256.axis(0)
         barrier = Potential(ScalarField(grid256, np.where(np.abs(x) <= 0.5, 3.0, 0.0)))
         psi = gaussian_packet(grid256, 1.0, momentum=1.5)
-        # six (potential, dt, m) keys, more than the cache holds, so keys
-        # come back both as hits and after eviction
         keys = [(harmonic, 1e-3, 1.0), (barrier, 2e-3, 1.0), (harmonic, 2e-3, 1.0),
                 (barrier, 1e-3, 1.0), (harmonic, 1e-3, 0.5), (barrier, 5e-4, 1.0)]
         for potential, dt, m in keys + keys[::-1] + keys:
