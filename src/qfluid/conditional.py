@@ -174,7 +174,7 @@ def conditional_guiding_velocities(state: ConfigWaveField, positions: np.ndarray
     v_max = state.hbar * np.pi / (m_i * grid.spacing[particle])
     flagged = _floored_ratios([v], rho, DENSITY_FLOOR_FRACTION * peaks, (v_max,))
     if events is not None:
-        events.record(flagged)
+        events.record(n, flagged)
     return v
 
 

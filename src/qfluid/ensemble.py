@@ -90,10 +90,12 @@ class NodeEvents:
     evaluations: int = 0
     capped: int = 0
 
-    def record(self, flagged: np.ndarray):
-        """Count one batch of evaluations, flagged where the cap applied."""
-        self.evaluations += int(flagged.size)
-        self.capped += int(np.count_nonzero(flagged))
+    def record(self, points: int, flagged: np.ndarray | None = None):
+        """Count one batch of `points` evaluations, flagged where the cap
+        applied; None when it applied nowhere."""
+        self.evaluations += points
+        if flagged is not None:
+            self.capped += int(np.count_nonzero(flagged))
 
 
 @dataclass
@@ -104,9 +106,10 @@ class _TrajectoryEvents(NodeEvents):
     ever_capped: np.ndarray | None = None
     block: slice = field(default_factory=lambda: slice(None))
 
-    def record(self, flagged: np.ndarray):
-        super().record(flagged)
-        self.ever_capped[self.block] |= flagged
+    def record(self, points: int, flagged: np.ndarray | None = None):
+        super().record(points, flagged)
+        if flagged is not None:
+            self.ever_capped[self.block] |= flagged
 
 
 def _cell_rows(a: np.ndarray, b: np.ndarray, c: np.ndarray, d: np.ndarray,
@@ -159,25 +162,26 @@ def _cell_terms(rows: np.ndarray, w: np.ndarray) -> tuple[np.ndarray, np.ndarray
 
 
 def _floored_ratios(numerators: list[np.ndarray], rho: np.ndarray, rho_floor,
-                    v_max) -> np.ndarray:
+                    v_max) -> np.ndarray | None:
     """Divide each numerator by max(|psi|^2, floor) in place, clip numerator
-    i at +-v_max[i] where the floor applied, and return those flags.
+    i at +-v_max[i] where the floor applied, and return those flags, or None
+    when the floor applied at no point.
 
     rho_floor is one floor, or one per point (conditional slices each have
     their own peak).
     """
     if isinstance(rho_floor, np.ndarray):
         flagged = rho < rho_floor
-        capped = bool(flagged.any())
+        if not flagged.any():
+            flagged = None
     else:
         # one min scan clears the common case of no point under the floor
-        capped = rho.size > 0 and rho.min() < rho_floor
-        flagged = rho < rho_floor if capped else np.zeros(rho.shape, dtype=bool)
-    if capped:
+        flagged = rho < rho_floor if rho.size and rho.min() < rho_floor else None
+    if flagged is not None:
         np.maximum(rho, rho_floor, out=rho)
     for v, cap in zip(numerators, v_max):
         v /= rho
-        if capped:
+        if flagged is not None:
             np.clip(v, -cap, cap, out=v, where=flagged)
     return flagged
 
@@ -332,11 +336,12 @@ class VelocityField:
         """Velocity components at the given positions, shape (n, dims)."""
         v, flagged = self._velocity(positions)
         if events is not None:
-            events.record(flagged)
+            events.record(v.size // self.grid.dims, flagged)
         return v
 
-    def _velocity(self, positions) -> tuple[np.ndarray, np.ndarray]:
-        """Velocity shaped like positions, and the per-point cap flags."""
+    def _velocity(self, positions) -> tuple[np.ndarray, np.ndarray | None]:
+        """Velocity shaped like positions, and the per-point cap flags (None
+        when no point was capped)."""
         pos = np.asarray(positions, dtype=float)
         grid = self.grid
         if grid.dims == 1:
@@ -376,7 +381,8 @@ class VelocityField:
             point_shape = pos.shape[:-1]
         flagged = _floored_ratios(numerators, rho, self.rho_floor, self.v_max)
         out = numerators[0] if grid.dims == 1 else np.stack(numerators, axis=-1)
-        return out.reshape(pos.shape), flagged.reshape(point_shape)
+        return (out.reshape(pos.shape),
+                None if flagged is None else flagged.reshape(point_shape))
 
 
 class _Timeline:
@@ -493,9 +499,12 @@ def _shift_in(pos: np.ndarray, grid: GridSpec, exact: bool = False) -> np.ndarra
     columns = (pos,) if grid.dims == 1 else (pos[:, 0], pos[:, 1])
     for i, col in enumerate(columns):
         lo, period = grid.origin[i], grid.extent[i]
+        # one min/max scan skips the masked passes when every point is inside
+        if not col.size or (col.min() >= lo and col.max() < lo + period):
+            continue
         np.subtract(col, period, out=col, where=col >= lo + period)
         np.add(col, period, out=col, where=col < lo)
-        if exact and col.size and not (col.min() >= lo and col.max() < lo + period):
+        if exact and not (col.min() >= lo and col.max() < lo + period):
             outside = (col < lo) | (col >= lo + period)
             col[outside] = grid.wrap(col[outside], i)
     return pos
@@ -534,7 +543,8 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline, steps: int,
     record_history is True (every trajectory), False (none) or an int n:
     the history of the first n trajectories only. Any other value, a numpy
     bool included, is a ConfigError, so a flag is never read as a count.
-    steps must be an integer >= 0 (not a bool), or it is a ConfigError.
+    steps must be an integer >= 0 (not a bool), or it is a ConfigError. A
+    NaN or infinite start position is a NonFiniteFieldError.
 
     Over a stored WaveTimeline, an ensemble of at least two blocks per CPU
     of the affinity mask is transported in forked processes, one contiguous
@@ -547,6 +557,10 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline, steps: int,
     _check_steps(steps)
     if timeline.grid != ens.grid:
         raise GridMismatchError("ensemble and timeline grids differ")
+    # min and max carry a NaN through, so the check adds no flag array
+    if ens.size and not (math.isfinite(ens.positions.min())
+                         and math.isfinite(ens.positions.max())):
+        _check_finite(ens.positions, "start positions")
     x = np.array(ens.positions, dtype=float)
     events = _TrajectoryEvents(ever_capped=np.zeros(ens.size, dtype=bool))
     if isinstance(record_history, bool):

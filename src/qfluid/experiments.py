@@ -374,18 +374,18 @@ def _scenario_equivariance(p: SimpleNamespace, outdir: Path):
     period = 2 * np.pi / p.omega
     dt = period / steps
     timeline = WaveTimeline.from_oracle(psi0, potential, dt, steps, hbar, m)
-    ens = sample_equilibrium(psi0.density(), n_traj, seed)
+    current = sample_equilibrium(psi0.density(), n_traj, seed)
 
     # propagate checkpoint to checkpoint; keeping the full history of 1e5
     # trajectories would cost half a gigabyte for nothing, so only the first
-    # n_sample trajectories' positions are kept, one row per step
+    # n_sample trajectories' positions are kept, one row per step (a copy,
+    # so that no view keeps the start positions alive past the first chunk)
     n_sample = min(100, n_traj)
-    sample = [ens.positions[:n_sample]]
+    sample = [current.positions[:n_sample].copy()]
     rows = []
     l1_max = 0.0
     capped_total = 0
     ever_degraded = False
-    current = ens
     chunk = steps // p.checkpoints
     for c in range(1, p.checkpoints + 1):
         result = propagate_ensemble(current, timeline, chunk,

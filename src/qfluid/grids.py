@@ -172,9 +172,13 @@ class GridSpec:
         round up onto the upper edge; such a point is the origin's image.
         """
         lo, period = self.origin[i], self.extent[i]
-        out = lo + np.mod(x - lo, period)
+        # lo + mod(x - lo, period) in the one buffer it allocates
+        out = np.subtract(x, lo, out=np.empty(np.shape(x)))
+        np.mod(out, period, out=out)
+        out += lo
+        out[out >= lo + period] = lo
         # [()] keeps a scalar a scalar
-        return np.where(out >= lo + period, lo, out)[()]
+        return out[()]
 
 
 def _freeze(values: np.ndarray) -> np.ndarray:

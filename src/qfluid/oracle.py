@@ -200,24 +200,30 @@ def stationary_states(potential: Potential, count: int, hbar: float = 1.0,
 
     Second-order periodic finite-difference kinetic term plus the diagonal
     potential; eigenfunctions are real, orthonormal with the grid measure,
-    and sign-fixed so the largest-magnitude sample is positive.
+    and sign-fixed so the largest-magnitude sample is positive. Only the
+    `count` lowest pairs are computed; count must be an integer (not a
+    bool) in [1, points], or it is a ConfigError.
 
     That sign is not tie-proof: in a parity-symmetric potential the two
     largest |phi| samples of every odd eigenstate are a mirror pair, equal
     to about 1e-15, so which of them counts as largest (and so the sign)
-    is settled by the rounding of the LAPACK routine. Another solver
-    (numpy.linalg.eigh) flips some odd modes, and with them every result
-    built from a superposition of these states.
+    is settled by the rounding of the LAPACK routine: the subset driver,
+    which picks the full solve's sign on every potential the scenarios and
+    demos use. Another solver (numpy.linalg.eigh) flips some odd modes,
+    and with them every result built from a superposition of these states.
     """
     grid = potential.grid
-    if count < 1 or count > grid.points[0]:
-        raise ConfigError(f"count must be in [1, {grid.points[0]}]")
+    n = grid.points[0]
+    if (isinstance(count, bool) or not isinstance(count, (int, np.integer))
+            or not 1 <= count <= n):
+        raise ConfigError(f"count must be an integer in [1, {n}], got {count!r}")
     # the transpose of the symmetric matrix is the Fortran-ordered copy eigh
     # would make, so LAPACK works in place on the same values (a dense copy
     # less at the memory peak of a pass); the residuals read a rebuilt one
     try:
         energies, vectors = scipy.linalg.eigh(
-            _fd_hamiltonian(potential, hbar, m).T, overwrite_a=True)
+            _fd_hamiltonian(potential, hbar, m).T, overwrite_a=True,
+            subset_by_index=[0, count - 1])
     except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
         raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
     ham = _fd_hamiltonian(potential, hbar, m)

@@ -947,6 +947,109 @@ def test_step_wrap_leaves_in_domain_points_untouched():
     assert out[200:] == pytest.approx([-7.7, -13.9 + 24.0], abs=1e-12)
 
 
+def _masked_shift_in(pos, grid, exact=False):
+    """_shift_in without its all-inside early-out: both masked passes on
+    every column, then the mod for the points still outside."""
+    columns = (pos,) if grid.dims == 1 else (pos[:, 0], pos[:, 1])
+    for i, col in enumerate(columns):
+        lo, period = grid.origin[i], grid.extent[i]
+        np.subtract(col, period, out=col, where=col >= lo + period)
+        np.add(col, period, out=col, where=col < lo)
+        if exact:
+            outside = (col < lo) | (col >= lo + period)
+            col[outside] = grid.wrap(col[outside], i)
+    return pos
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+def test_shift_in_skips_an_all_inside_batch(dims):
+    # a read-only batch shows that no masked pass writes into it
+    grid = _LINE if dims == 1 else _PLANE
+    lo = np.array(grid.origin)
+    inside = np.random.default_rng(dims).uniform(lo, lo + np.array(grid.extent), (500, dims))
+    inside[0] = lo
+    inside[1] = np.nextafter(lo + np.array(grid.extent), -np.inf)
+    batch = inside[:, 0].copy() if dims == 1 else inside.copy()
+    want = batch.copy()
+    batch.setflags(write=False)
+    for exact in (False, True):
+        assert ensemble_module._shift_in(batch, grid, exact=exact) is batch
+        assert batch.tobytes() == want.tobytes()
+    assert ensemble_module._shift_in(np.zeros((0,) + (dims,) * (dims - 1)), grid).size == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(exact=st.booleans(),
+       xs=st.lists(_coordinates(_LINE, 0), min_size=0, max_size=30),
+       pts=st.lists(st.tuples(_coordinates(_PLANE, 0), _coordinates(_PLANE, 1)),
+                    min_size=0, max_size=30))
+def test_shift_in_equals_the_masked_path(exact, xs, pts):
+    for grid, batch in ((_LINE, np.array(xs, dtype=float)),
+                        (_PLANE, np.array(pts, dtype=float).reshape(-1, 2))):
+        got = ensemble_module._shift_in(batch.copy(), grid, exact=exact)
+        assert got.tobytes() == _masked_shift_in(batch.copy(), grid, exact=exact).tobytes()
+
+
+def _flag_array_ratios(numerators, rho, rho_floor, v_max):
+    """_floored_ratios without its all-clear early-out: an explicit flag
+    array for every batch, all False when no point is under the floor."""
+    flagged = rho < rho_floor
+    np.maximum(rho, rho_floor, out=rho)
+    for v, cap in zip(numerators, v_max):
+        v /= rho
+        np.clip(v, -cap, cap, out=v, where=flagged)
+    return flagged
+
+
+def _event_batch(dims, kind):
+    """Positions for a _node_timeline field: none, some or no point on the
+    node line x = 0."""
+    grid = _node_timeline(dims, 0.05, 1).grid
+    size = {"clear": 300, "some": 300, "empty": 0}[kind]
+    rng = np.random.default_rng(dims)
+    positions = rng.uniform(1.0, 3.0, (size, dims)) * rng.choice([-1.0, 1.0], (size, dims))
+    if kind == "some":
+        positions[::7, 0] = 0.0
+    return positions[:, 0].copy() if dims == 1 else positions
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("kind", ["clear", "some", "empty"])
+def test_node_events_equal_the_flag_array_path(monkeypatch, dims, kind):
+    timeline = _node_timeline(dims, 0.05, 3)
+    positions = _event_batch(dims, kind)
+    n = len(positions)
+
+    def counts():
+        events = ensemble_module._TrajectoryEvents(ever_capped=np.zeros(n, dtype=bool))
+        plain = NodeEvents()
+        field = timeline.velocity(0.0)
+        v = field.at(positions, events)
+        field.at(positions, plain)
+        res = propagate_ensemble(TrajectoryEnsemble(timeline.grid, positions), timeline, 3)
+        return (v.tobytes(), (events.evaluations, events.capped), events.ever_capped.tobytes(),
+                plain, res.ensemble.positions.tobytes(), res.events, res.capped_trajectories)
+
+    got = counts()
+    monkeypatch.setattr(ensemble_module, "_floored_ratios", _flag_array_ratios)
+    assert got == counts()
+    assert got[1] == (n, n // 7 + 1 if kind == "some" else 0)
+    assert got[5].evaluations == 12 * n
+    assert (got[6] > 0) == (kind == "some")
+
+
+@pytest.mark.parametrize("dims", [1, 2])
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_start_rejected_before_the_first_step(dims, bad):
+    timeline = _node_timeline(dims, 0.05, 3)
+    positions = _event_batch(dims, "clear")
+    positions.reshape(-1)[17] = bad
+    ens = TrajectoryEnsemble(timeline.grid, positions)
+    with pytest.raises(NonFiniteFieldError, match="start positions") as info:
+        propagate_ensemble(ens, timeline, 3)
+    assert info.value.first_index == 17
+
+
 def _forked_case(dims):
     """Four blocks on a small stored timeline with a node, some trajectories
     started on the node line so that evaluations get capped."""

@@ -70,6 +70,42 @@ class TestGridSpec:
         assert g.wrap(-12.0 - 1e-15) == -12.0
 
 
+def _wrap_reference(grid, x, i):
+    """GridSpec.wrap as the textbook expression: lo + mod(x - lo, period),
+    with the upper edge mapped to its image at the origin."""
+    lo, period = grid.origin[i], grid.extent[i]
+    out = lo + np.mod(x - lo, period)
+    return np.where(out >= lo + period, lo, out)[()]
+
+
+_WRAP_GRID = GridSpec.regular((24.0, 7.5), (128, 64), origin=(-12.0, 0.3))
+
+
+@settings(max_examples=60, deadline=None)
+@given(axis=st.sampled_from([0, 1]),
+       xs=st.lists(st.one_of(st.floats(-100.0, 100.0),
+                             st.sampled_from([-12.0 - 1e-15, -12.0 - 5e-16, 12.0,
+                                              0.3 - 1e-16, 7.8, -7.2])),
+                   min_size=0, max_size=30))
+def test_wrap_equals_the_mod_expression_bit_for_bit(axis, xs):
+    x = np.array(xs, dtype=float)
+    before = x.copy()
+    got = _WRAP_GRID.wrap(x, axis)
+    assert got.tobytes() == _wrap_reference(_WRAP_GRID, x, axis).tobytes()
+    # a fresh buffer: the input keeps its bits
+    assert not np.shares_memory(got, x)
+    assert x.tobytes() == before.tobytes()
+    lo, period = _WRAP_GRID.origin[axis], _WRAP_GRID.extent[axis]
+    assert np.all((got >= lo) & (got < lo + period))
+
+
+@pytest.mark.parametrize("x", [-12.0 - 1e-15, 12.0, 3.5, 37, np.float64(-40.25)])
+def test_wrap_keeps_a_scalar_a_scalar(x):
+    got = _WRAP_GRID.wrap(x, 0)
+    assert not isinstance(got, np.ndarray)
+    assert np.float64(got).tobytes() == np.float64(_wrap_reference(_WRAP_GRID, x, 0)).tobytes()
+
+
 class TestKSquared:
     def test_matches_axis_sum_and_is_cached(self):
         g = GridSpec.regular((8.0, 5.0), (16, 10))

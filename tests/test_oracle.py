@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from conftest import field_l2
-from qfluid.errors import ConfigError, UnitarityError
+from qfluid import oracle
+from qfluid.errors import ConfigError, EigensolverError, UnitarityError
 from qfluid.grids import GridSpec, ScalarField, WaveField
 from qfluid.oracle import (
     Potential,
@@ -271,6 +273,54 @@ class TestStationaryStates:
         # parity partner of x_j on a centered periodic grid is index -j mod n
         mirrored = np.roll(phi[::-1], 1)
         assert np.abs(phi - mirrored).max() <= np.abs(phi).max() * 1e-6
+
+    @pytest.mark.parametrize("count", [2.5, True, 0, 129, np.float64(2.0)])
+    def test_count_must_be_an_integer_in_range(self, count):
+        with pytest.raises(ConfigError, match="count must be an integer"):
+            stationary_states(Potential.harmonic(GridSpec.centered(24.0, 128), 1.0), count)
+
+    def test_numpy_integer_count_accepted(self):
+        pairs = stationary_states(Potential.harmonic(GridSpec.centered(24.0, 128), 1.0),
+                                  np.int64(128))
+        assert len(pairs) == 128
+
+    # the potentials whose states the scenarios and demos use: equivariance
+    # (24/512), relaxation's two axes (20/128 at omega and at the golden ratio
+    # times omega, modes up to 7), measurement and demo 05 (24/256) and the
+    # brute-force measurement grid (24/128)
+    @pytest.mark.parametrize("extent, points, omega, count", [
+        (24.0, 512, 1.0, 2),
+        (20.0, 128, 1.0, 8),
+        (20.0, 128, 0.5 * (1 + np.sqrt(5.0)), 8),
+        (24.0, 256, 1.0, 3),
+        (24.0, 256, 1.0, 4),
+        (24.0, 128, 1.0, 2),
+    ])
+    def test_lowest_pairs_match_the_full_solve(self, extent, points, omega, count):
+        # the largest-sample sign rule is not tie-proof on odd states, so the
+        # subset solve must pick the sign the full solve picked
+        potential = Potential.harmonic(GridSpec.centered(extent, points), omega)
+        energies, vectors = scipy.linalg.eigh(
+            oracle._fd_hamiltonian(potential, 1.0, 1.0).T, overwrite_a=True)
+        vectors = vectors[:, :count] / np.sqrt(potential.grid.spacing[0])
+        signs = np.sign(vectors[np.argmax(np.abs(vectors), axis=0), np.arange(count)])
+        pairs = stationary_states(potential, count)
+        assert len(pairs) == count
+        for k, (energy, phi) in enumerate(pairs):
+            assert abs(energy - energies[k]) <= 1e-12 * abs(energies[k])
+            assert np.abs(phi.values - signs[k] * vectors[:, k]).max() <= 1e-12
+
+    def test_corrupted_eigenpair_raises(self, monkeypatch):
+        real_eigh = scipy.linalg.eigh
+
+        def corrupted(*args, **kwargs):
+            energies, vectors = real_eigh(*args, **kwargs)
+            vectors[:, -1] += 1e-3 * vectors[:, 0]
+            return energies, vectors
+
+        monkeypatch.setattr(scipy.linalg, "eigh", corrupted)
+        with pytest.raises(EigensolverError, match="eigenpair 1 residual"):
+            stationary_states(Potential.harmonic(GridSpec.centered(24.0, 128), 1.0), 2)
 
 
 def test_coherent_state_matches_fine_split_step(grid512, harmonic512):
