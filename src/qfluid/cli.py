@@ -79,8 +79,9 @@ def main(argv=None) -> int:
     except (QFluidError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except (ValueError, TypeError, ArithmeticError) as exc:
-        # a config value of the wrong type or range that no check caught
+    except (ValueError, TypeError, ArithmeticError, MemoryError) as exc:
+        # a config value of the wrong type or range that no check caught, or
+        # a size the machine cannot hold
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     return EXIT_USAGE

@@ -11,11 +11,11 @@ evaluation routes agree to rounding. Pairs therefore move with the
 configuration-space velocity: propagate_ensemble over the joint grid.
 
 conditional_guiding_velocities evaluates one particle's conditional
-velocity for many pairs in one pass: one gather lerps every slice, one
-spectral derivative differentiates them all, and each slice is evaluated
-on its own cell only, by the 1D VelocityField cell formula (node floor per
-slice, Nyquist cap, event counts). conditional_guiding_velocity is its
-one-pair case.
+velocity for many pairs, one block of slices at a time: per block one
+gather lerps its slices, one spectral derivative differentiates them all,
+and each slice is evaluated on its own cell only, by the 1D VelocityField
+cell formula (node floor per slice, Nyquist cap, event counts).
+conditional_guiding_velocity is its one-pair case.
 
 For product states psi_a(x1) psi_b(x2) the conditional slice is proportional
 to the particle's own factor whatever the conditioning position, and pair
@@ -30,8 +30,9 @@ import numpy as np
 
 from .errors import ConditionalUndefinedError, ConfigError
 from .grids import (DENSITY_FLOOR_FRACTION, GridSpec, WaveField, _check_finite,
-                    _interp_weights, _spectral_derivative)
-from .ensemble import NodeEvents, VelocityField, _cell_rows, _cell_terms, _floored_ratios
+                    _interp_weights, _nonzero_parts, _spectral_derivative)
+from .ensemble import (_BLOCK, NodeEvents, VelocityField, _cell_rows, _cell_terms,
+                       _floored_ratios)
 
 __all__ = [
     "ConfigWaveField",
@@ -93,6 +94,11 @@ class ConditionalWave:
         return WaveField(self.psi.grid, self.psi.values / self.norm)
 
 
+def _check_particle(particle: int):
+    if particle not in (0, 1):
+        raise ConfigError("particle index must be 0 or 1")
+
+
 def _slices(state: ConfigWaveField, particle: int,
             other_positions: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Conditional slices at each of the other particle's positions, shape
@@ -102,8 +108,6 @@ def _slices(state: ConfigWaveField, particle: int,
     position (periodic wrap). Raises when some slice norm is negligible: the
     conditional state is undefined there.
     """
-    if particle not in (0, 1):
-        raise ConfigError("particle index must be 0 or 1")
     grid = state.grid
     other_axis = 1 - particle
     values = np.moveaxis(state.psi.values, other_axis, 0)
@@ -131,6 +135,7 @@ def conditional_wavefunction(state: ConfigWaveField, particle: int,
     interpolation between grid lines, periodic wrap). Raises when the slice
     norm is negligible: the conditional state is undefined there.
     """
+    _check_particle(particle)
     slices, norms = _slices(state, particle, np.array([other_position], dtype=float))
     return ConditionalWave(psi=WaveField(state.grid.axis_line(particle), slices[0]),
                            norm=float(norms[0]))
@@ -144,37 +149,48 @@ def conditional_guiding_velocities(state: ConfigWaveField, positions: np.ndarray
     positions has shape (n, 2), one (x1, x2) row per pair. Row k takes the
     slice at the other particle's coordinate and
     v = (hbar / m_i) Im( d(phi)/dx / phi ) at the particle's own one. One
-    _spectral_derivative call differentiates all slices along the particle's
-    axis of the joint grid, and each slice is evaluated on its own cell only,
-    by the cell formula of a 1D VelocityField (ensemble._cell_rows): the
-    node floor (1e-12 of that slice's largest |phi|^2), the Nyquist cap and
-    the event counts are those of a VelocityField of the slice. Equal, to
+    _spectral_derivative call per block differentiates its slices along the
+    particle's axis of the joint grid, and each slice is evaluated on its own
+    cell only, by the cell formula of a 1D VelocityField (ensemble._cell_rows):
+    the node floor (1e-12 of that slice's largest |phi|^2), the Nyquist cap
+    and the event counts are those of a VelocityField of the slice. Equal, to
     rounding, to the corresponding component of configuration_velocity.
+
+    Pairs run in blocks of about _BLOCK slice values (64 slices of 128
+    points), so the working set does not grow with n. Every block takes the
+    joint state's transform (grids._nonzero_parts), so a row's result does
+    not depend on the rows that share its block or its call. Events are
+    recorded per block: a raise leaves the earlier blocks counted.
     """
+    _check_particle(particle)
     pos = np.asarray(positions, dtype=float).reshape(-1, 2)
-    phi, _ = _slices(state, particle, pos[:, 1 - particle])
-    n = len(phi)
-    if n == 0:
-        return np.zeros(0)
-    peaks = np.maximum.reduce(np.abs(phi), axis=1) ** 2
-    if not np.isfinite(peaks).all():
-        _check_finite(phi, "velocity field input")
     grid = state.grid
     m_i = state.masses[particle]
-    # the joint grid's axis `particle` runs along the slices: axis 0 of phi.T
-    # for particle 0, axis 1 of phi for particle 1
-    g = np.moveaxis(_spectral_derivative(np.moveaxis(phi, 1, particle), grid,
-                                         particle, state.hbar / m_i), particle, 1)
-    i0, w = _interp_weights(grid, pos[:, particle], particle)
-    i1 = (i0 + 1) % grid.points[particle]
-    k = np.arange(n)
-    a, c = phi[k, i0], g[k, i0]
-    rows = _cell_rows(a, phi[k, i1] - a, c, g[k, i1] - c, float(peaks.max()))
-    v, rho = _cell_terms(rows, w)
     v_max = state.hbar * np.pi / (m_i * grid.spacing[particle])
-    flagged = _floored_ratios([v], rho, DENSITY_FLOOR_FRACTION * peaks, (v_max,))
-    if events is not None:
-        events.record(n, flagged)
+    parts = _nonzero_parts(state.psi.values)
+    size = max(1, _BLOCK // grid.points[particle])
+    v = np.empty(len(pos))
+    for lo in range(0, len(pos), size):
+        block = pos[lo:lo + size]
+        phi, _ = _slices(state, particle, block[:, 1 - particle])
+        peaks = np.maximum.reduce(np.abs(phi), axis=1) ** 2
+        if not np.isfinite(peaks).all():
+            _check_finite(phi, "velocity field input")
+        # the joint grid's axis `particle` runs along the slices: axis 0 of
+        # phi.T for particle 0, axis 1 of phi for particle 1
+        g = np.moveaxis(_spectral_derivative(np.moveaxis(phi, 1, particle), grid,
+                                             particle, state.hbar / m_i, parts),
+                        particle, 1)
+        i0, w = _interp_weights(grid, block[:, particle], particle)
+        i1 = (i0 + 1) % grid.points[particle]
+        k = np.arange(len(block))
+        a, c = phi[k, i0], g[k, i0]
+        rows = _cell_rows(a, phi[k, i1] - a, c, g[k, i1] - c, float(peaks.max()))
+        vb, rho = _cell_terms(rows, w)
+        flagged = _floored_ratios([vb], rho, DENSITY_FLOOR_FRACTION * peaks, (v_max,))
+        if events is not None:
+            events.record(len(block), flagged)
+        v[lo:lo + size] = vb
     return v
 
 

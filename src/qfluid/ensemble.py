@@ -53,8 +53,10 @@ __all__ = [
 ]
 
 DEGRADED_CAP_FRACTION = 1e-3
-# trajectories per block of RK4 transport (and of histogram binning): a block's
-# temporaries stay in a 2 MB per-core L2 cache (4096 to 32768 measured; see CHANGES.md)
+# trajectories per block of RK4 transport (and of histogram binning), and the
+# slice values per block of conditional guidance (64 slices of 128 points): a
+# block's temporaries stay in a 2 MB per-core L2 cache (4096 to 32768
+# measured for transport; see CHANGES.md)
 _BLOCK = 8192
 # the wave fields one RK4 step reads (t, t + dt/2, t + dt): what a timeline
 # keeps of its fields and velocity fields

@@ -1,5 +1,7 @@
 """Conditional slices of two-particle states and per-particle guidance."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -15,6 +17,7 @@ from qfluid.ensemble import (
     propagate_ensemble,
     sample_equilibrium,
 )
+from qfluid import conditional
 from qfluid.conditional import (
     ConfigWaveField,
     ParticlePair,
@@ -251,6 +254,41 @@ class TestBatchedGuidance:
         with pytest.raises(ConditionalUndefinedError, match="-7.9"):
             conditional_guiding_velocities(state, positions, 0)
         assert conditional_guiding_velocities(state, positions[[0, 1, 3]], 0).shape == (3,)
+
+    @pytest.mark.parametrize("n", [0, 1, 63, 64, 65, 500])
+    def test_blocks_equal_one_block_of_every_pair(self, line, monkeypatch, n):
+        # 64 slices of 128 points per block; particle 0's slices all carry the
+        # node, and every seventh row sits on or next to it
+        state = nodal_state(line)
+        positions = sample_equilibrium(state.psi.density(), n, seed=5).positions
+        node, h = line.axis(0)[60], line.spacing[0]
+        near = positions.copy()
+        near[::7, 0] = node + np.resize([0.0, 1e-7 * h, 0.5 * h, -1e-12], len(near[::7]))
+        for particle, rows in ((0, near), (1, positions)):
+            blocked_events, whole_events = NodeEvents(), NodeEvents()
+            blocked = conditional_guiding_velocities(state, rows, particle, blocked_events)
+            with monkeypatch.context() as patch:
+                patch.setattr(conditional, "_BLOCK", 128 * max(n, 1))
+                whole = conditional_guiding_velocities(state, rows, particle, whole_events)
+            assert np.array_equal(blocked, whole)
+            assert blocked_events == whole_events
+            assert blocked_events.evaluations == n
+            # row 0 of particle 0 sits on the node, so it is capped
+            assert (blocked_events.capped > 0) == (particle == 0 and n > 0)
+
+    def test_working_set_does_not_grow_with_the_batch(self, entangled):
+        # one block at a time: 20 000 pairs held all at once would need about
+        # 120 MB of slices, derivatives and their temporaries
+        positions = sample_equilibrium(entangled.psi.density(), 20_000, seed=6).positions
+        conditional_guiding_velocities(entangled, positions[:10], 0)
+        tracemalloc.start()
+        try:
+            for particle in (0, 1):
+                conditional_guiding_velocities(entangled, positions, particle)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20
 
     def test_empty_batch(self, entangled):
         events = NodeEvents()

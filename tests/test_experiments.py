@@ -4,6 +4,7 @@ import dataclasses
 import json
 import os
 
+import numpy as np
 import pytest
 
 from qfluid.cli import main as cli_main
@@ -112,8 +113,9 @@ class TestRun:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
     def test_equivariance_sample_equals_a_replay(self, tmp_path, monkeypatch):
         # the sample trajectories are recorded by the forked checkpoint
-        # transports; a serial replay of the sample with full history must
-        # write the same trajectories.csv
+        # transports, each over its own checkpoint's timeline; a serial replay
+        # of the sample with full history over one timeline of the whole run
+        # must write the same trajectories.csv
         calls = []
         transport = experiments.propagate_ensemble
 
@@ -131,14 +133,34 @@ class TestRun:
             "scenario": "equivariance", "n_trajectories": 4 * ensemble._BLOCK,
             "steps": steps, "checkpoints": 10, "seed": 3}), tmp_path)
         assert len(calls) == 10 and len(forks) == 10
-        start, timeline = calls[0]
+        start, first = calls[0]
+        dt = 2.0 * first.half_dt
+        whole = ensemble.WaveTimeline.from_oracle(
+            first.at(0.0), oracle.Potential.harmonic(start.grid, 1.0), dt, steps)
+        # each checkpoint's timeline starts from the whole run's field there
+        for c, (_, timeline) in enumerate(calls):
+            assert np.array_equal(timeline.at(0.0).values,
+                                  whole.at(c * (steps // 10) * dt).values)
         sample = ensemble.TrajectoryEnsemble(grid=start.grid, positions=start.positions[:100])
-        history = transport(sample, timeline, steps).ensemble.history
-        dt = 2.0 * timeline.half_dt
+        history = transport(sample, whole, steps).ensemble.history
         rows = [[tid, j * dt, history[j, tid]] for tid in range(100)
                 for j in range(0, steps + 1, max(1, steps // 32))]
         want = experiments._write_table(tmp_path / "replay.csv", ["traj_id", "t", "x"], rows)
         assert (tmp_path / "trajectories.csv").read_bytes() == want.read_bytes()
+
+    def test_equivariance_holds_one_checkpoint_of_fields(self, tmp_path, monkeypatch):
+        stored = []
+        init = ensemble.WaveTimeline.__init__
+
+        def recording(timeline, half_dt, fields, *args):
+            stored.append(len(fields))
+            init(timeline, half_dt, fields, *args)
+
+        monkeypatch.setattr(ensemble.WaveTimeline, "__init__", recording)
+        run(ExperimentConfig.from_dict({
+            "scenario": "equivariance", "n_trajectories": 1000, "steps": 40,
+            "checkpoints": 4}), tmp_path)
+        assert stored == [2 * 40 // 4 + 1] * 4
 
     def test_output_root_env(self, tmp_path, monkeypatch):
         monkeypatch.setenv(OUTPUT_ROOT_ENV, str(tmp_path))
@@ -433,6 +455,21 @@ class TestCli:
             assert key in err
         assert not (tmp_path / "out" / "run_manifest.json").exists()
 
+    def test_out_of_memory_exit_two(self, tmp_path, capsys, monkeypatch):
+        # an ensemble the machine cannot hold, without allocating one
+        def scenario(cfg, outdir):
+            raise MemoryError("Unable to allocate 7.28 TiB")
+
+        monkeypatch.setitem(experiments.SCHEMAS, "equivariance", dataclasses.replace(
+            experiments.SCHEMAS["equivariance"], run=scenario))
+        cfg = self.write_config(tmp_path, {"scenario": "equivariance",
+                                           "n_trajectories": 10**12, "steps": 10,
+                                           "checkpoints": 1,
+                                           "output_dir": str(tmp_path / "out")})
+        assert cli_main(["run", cfg]) == 2
+        assert capsys.readouterr().err == "error: MemoryError: Unable to allocate 7.28 TiB\n"
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
     @pytest.mark.parametrize("doc, key", [
         ({"scenario": "twofluid-verify", "delta_t": -1e-4}, "delta_t"),
         ({"scenario": "twofluid-verify", "width": "1.0"}, "width"),
@@ -541,6 +578,14 @@ def test_conditional_pair_reports_its_capping(tmp_path):
     assert not manifest.passed
     assert manifest.capping_events == 2
     assert json.loads((tmp_path / "run_manifest.json").read_text())["capping_events"] == 2
+
+
+def test_product_pair_gap_is_measured_round_the_ring(tmp_path):
+    # x1 = 8.0 starts on the seam of the 16-wide ring: a pair and a single
+    # particle that end on either side of it are close, not a ring apart
+    manifest = run(ExperimentConfig.from_dict(
+        {"scenario": "conditional-pair", "x1": 8.0, "steps": 10}), tmp_path)
+    assert manifest.metrics["product_pair_gap"] <= 16.0 / 2
 
 
 def test_integral_float_count_is_accepted(tmp_path):
