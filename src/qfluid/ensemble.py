@@ -188,16 +188,6 @@ def _floored_ratios(numerators: list[np.ndarray], rho: np.ndarray, rho_floor,
     return flagged
 
 
-def _blend(ends: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """(1 - w) * ends[:, 0] + w * ends[:, 1], in place in ends: the lerp of
-    grids._interp_values, term for term."""
-    lower, upper = ends[:, 0], ends[:, 1]
-    lower *= 1.0 - w
-    upper *= w
-    lower += upper
-    return lower
-
-
 class VelocityField:
     """Sampled guiding velocity of one wave field.
 
@@ -226,18 +216,23 @@ class VelocityField:
     and eight elementwise operations. conditional.conditional_guiding_velocities
     evaluates the same formula on one cell per conditional slice.
 
-    2D keeps split real corner tables, rows [psi.re, psi.im, d0psi.re,
-    d0psi.im, d1psi.re, d1psi.im], each padded with one periodic line per
-    axis (padded line n is line 0) and flattened; a lookup gathers four
-    corners and lerps along y, then x. A prototype bilinear per-cell table
-    measured slower there (0.51 against 0.46 ms for 5000 points at 128^2)
-    and needs four times the memory. Tables are filled only where lookups
-    read them: per axis the field keeps the filled span [lo, hi) of padded
-    lines, and a lookup extends it to [min, max + 2) of its lower corner
-    indices, transforming only the lines not filled yet: rows (along x)
-    carry psi and d1 psi, contiguous writes, and columns d0 psi. Every line
-    takes the whole field's transform (grids._nonzero_parts), so its bits
-    are those of a whole-field derivative, whatever the spans.
+    2D keeps split real corner tables in two plane groups, each plane padded
+    with one periodic line per axis (padded line n is line 0) and
+    flattened: [psi.re, psi.im, d1psi.re, d1psi.im] row-major and
+    [d0psi.re, d0psi.im] column-major. A lookup takes, per x end, one
+    gather of both y ends from each group (row-major from i0 (ny + 1) + j0,
+    column-major from j0 (nx + 1) + i0) and lerps along y, then x. A
+    prototype bilinear per-cell table measured slower there (0.51 against
+    0.46 ms for 5000 points at 128^2) and needs four times the memory.
+    Tables are filled only where lookups read them: per axis the field
+    keeps the filled span [lo, hi) of padded lines, and a lookup extends it
+    to [min, max + 2) of its lower corner indices, transforming only the
+    lines not filled yet. A row (one x index) carries psi and d1 psi, a
+    column (one y index) d0 psi, and each group stores its lines
+    contiguously, so a fill writes (b - a)(ny + 1) or (b - a)(nx + 1)
+    consecutive values per plane. Every line takes the whole field's
+    transform (grids._nonzero_parts), so its bits are those of a
+    whole-field derivative, whatever the spans.
 
     Either way the velocity is numerator / max(|psi|^2, floor), and points
     under the floor are clipped at the Nyquist velocity and flagged.
@@ -262,8 +257,7 @@ class VelocityField:
             # first lookup it left the heap growing and trimming (about 15k
             # more page faults and 4 % more wall time per relaxation-2d
             # pass); allocated after the peak's temporaries, about 1 % more
-            self._block = np.empty(
-                (2 + 2 * grid.dims,) + tuple(n + 1 for n in grid.points))
+            self._block = np.empty(6 * (grid.points[0] + 1) * (grid.points[1] + 1))
             rho = values.real * values.real
             rho += values.imag * values.imag
             peak = float(np.maximum.reduce(rho, axis=None))
@@ -276,15 +270,19 @@ class VelocityField:
             self._tables = self._cell_table(values, peak)
         else:
             self._values = values
-            self._tables = self._block.reshape(len(self._block), -1)
+            # planes are line-first: (nx + 1, ny + 1) in the row-major
+            # group, (ny + 1, nx + 1) in the column-major one
+            row, col = grid.points[1] + 1, grid.points[0] + 1
+            rows, cols = self._block[:4 * row * col], self._block[4 * row * col:]
+            self._planes = rows.reshape(4, col, row), cols.reshape(2, row, col)
             # the whole field's transform choice, which every line takes
             self._parts = _nonzero_parts(values)
             # filled span [lo, hi) of padded lines per axis, empty at first
             self._spans = [(0, 0), (0, 0)]
-            # flat-index offsets of the corners (x end, y end) from the
-            # lower-left one on the padded tables
-            row = grid.points[1] + 1
-            self._corner_offsets = np.array([[[0], [1]], [[row], [row + 1]]])
+            # per group, the flat tables and the flat-index offsets of the
+            # corners (x end, y end) from the lower-left one
+            self._groups = ((rows.reshape(4, -1), np.array([[[0], [1]], [[row], [row + 1]]])),
+                            (cols.reshape(2, -1), np.array([[[0], [col]], [[1], [col + 1]]])))
 
     def _cell_table(self, values: np.ndarray, peak: float) -> np.ndarray:
         """The six per-cell rows of a 1D field."""
@@ -324,13 +322,11 @@ class VelocityField:
         if b > len(lines):
             # padded line n is line 0
             src = np.concatenate((src, lines[:1]))
-        src = turn(src)
-        g = _spectral_derivative(src, self.grid, along, self.hbar / self.masses[along],
-                                 self._parts)
-        block = turn(self._block)[:, a:b]
-        for r, part in ((0, src), (4, g)) if axis == 0 else ((2, g),):
-            part = turn(part)
-            for plane, values in ((block[r], part.real), (block[r + 1], part.imag)):
+        g = _spectral_derivative(turn(src), self.grid, along,
+                                 self.hbar / self.masses[along], self._parts)
+        planes = self._planes[axis][:, a:b]
+        for r, part in enumerate((src, g) if axis == 0 else (turn(g),)):
+            for plane, values in ((planes[2 * r], part.real), (planes[2 * r + 1], part.imag)):
                 plane[:, :-1] = values
                 plane[:, -1] = plane[:, 0]
 
@@ -340,6 +336,25 @@ class VelocityField:
         if events is not None:
             events.record(v.size // self.grid.dims, flagged)
         return v
+
+    @staticmethod
+    def _lerp(group, lower, weights):
+        """One plane group lerped along y on both bracketing x lines, then
+        along x, as grids._interp_values does term for term; lower holds the
+        lower-left corners' flat indices, weights is (end, axis, point)."""
+        table, offsets = group
+        lines = []
+        for e in (0, 1):
+            # (plane, y end, point); the indices are in range, and numpy's
+            # "wrap" mode gathers faster
+            ends = table.take(lower + offsets[e], axis=1, mode="wrap")
+            ends *= weights[:, 1]
+            line = ends[:, 0]
+            line += ends[:, 1]
+            line *= weights[e, 0]
+            lines.append(line)
+        lines[0] += lines[1]
+        return lines[0]
 
     def _velocity(self, positions) -> tuple[np.ndarray, np.ndarray | None]:
         """Velocity shaped like positions, and the per-point cap flags (None
@@ -358,27 +373,18 @@ class VelocityField:
             if i0.size:
                 self._cover(0, i0)
                 self._cover(1, j0)
-            c00 = i0 * (grid.points[1] + 1) + j0
-            # one gather of both y ends keeps a single large temporary
-            # alive; the indices are in range, and numpy's "wrap" mode
-            # gathers faster
-            ends = lambda e: np.take(self._tables,  # noqa: E731
-                                     c00 + self._corner_offsets[e],
-                                     axis=1, mode="wrap")
-            # along y on the two bracketing x lines first, then along x
-            here = _blend(ends(0), wy)
-            here *= 1.0 - wx
-            upper = _blend(ends(1), wy)
-            upper *= wx
-            here += upper
-            pr, pi = here[0], here[1]
+            nx, ny = grid.points
+            weights = np.array(((1.0 - wx, 1.0 - wy), (wx, wy)))
+            rows = self._lerp(self._groups[0], i0 * (ny + 1) + j0, weights)
+            d0 = self._lerp(self._groups[1], j0 * (nx + 1) + i0, weights)
+            pr, pi = rows[0], rows[1]
             rho = pr * pr
             rho += pi * pi
             numerators = []
-            for i in range(grid.dims):
+            for g in (d0, rows[2:]):
                 # Im(g conj psi), g already scaled by hbar / m_i
-                v = here[3 + 2 * i] * pr
-                v -= here[2 + 2 * i] * pi
+                v = g[1] * pr
+                v -= g[0] * pi
                 numerators.append(v)
             point_shape = pos.shape[:-1]
         flagged = _floored_ratios(numerators, rho, self.rho_floor, self.v_max)

@@ -437,13 +437,14 @@ def _scenario_relaxation(p: SimpleNamespace, outdir: Path):
     rng_pos = np.random.default_rng(p.seed)
     positions = rng_pos.uniform(-p.start_half_width, p.start_half_width,
                                 (p.n_trajectories, 2))
-    ens = TrajectoryEnsemble(grid=grid, positions=positions)
+    current = TrajectoryEnsemble(grid=grid, positions=positions)
     timeline = OracleTimeline(psi0, joint, dt, hbar, m)
 
     rows = []
-    h0, lo, hi = bootstrap_coarse_H(ens, psi0, cell, seed=500)
+    h0, lo, hi = bootstrap_coarse_H(current, psi0, cell, seed=500)
     rows.append([0.0, h0, lo, hi])
-    current = ens
+    # the timeline drops its first field once it has moved past it
+    del psi0
     capped = 0
     chunk = steps // p.checkpoints
     worst_excess = -np.inf
@@ -570,16 +571,17 @@ def _scenario_conditional_pair(p: SimpleNamespace, outdir: Path):
         for particle in (0, 1)
     ], axis=-1)
     worst = float(np.max(np.abs(v_cond - v_full)))
+    del entangled, ens, v_full, v_cond
 
     # product state: pair transport reduces to independent 1D problems
     u1 = Potential.harmonic(grid1, p.omega, m)
     joint_pot = Potential(ScalarField(grid2, u1.values[:, None] + u1.values[None, :]))
-    product = WaveField(grid2, np.outer(a.values, b.values)).normalized()
     period = 2 * np.pi / p.omega
     dt = period / steps
     pair = propagate_ensemble(
         TrajectoryEnsemble(grid=grid2, positions=np.array([[p.x1, p.x2]])),
-        OracleTimeline(product, joint_pot, dt, hbar, m), steps,
+        OracleTimeline(WaveField(grid2, np.outer(a.values, b.values)).normalized(),
+                       joint_pot, dt, hbar, m), steps,
     )
     single_a = propagate_ensemble(
         TrajectoryEnsemble(grid=grid1, positions=np.array([p.x1])),
@@ -863,7 +865,7 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list[float],
           outdir=None) -> SweepResult:
     """One run per parameter value plus a log-log convergence fit."""
     if len(values) < 3:
-        raise ConfigError("a sweep needs at least 3 parameter values")
+        raise ConfigError("a sweep needs at least 3 distinct parameter values")
     schema = SCHEMAS.get(cfg.scenario)
     if schema is None or schema.sweep_metric is None:
         raise ConfigError(f"scenario {cfg.scenario!r} has no sweep metric")
@@ -877,6 +879,11 @@ def sweep(cfg: ExperimentConfig, parameter: str, values: list[float],
     kind, _ = schema.keys.get(parameter, ("real", None))
     if kind in _INTEGER_MINIMUM:  # an integer key echoes as 20, not 20.0
         values = [_check(parameter, kind, v) for v in values]
+    # a repeated value runs twice and skews the fit (20 and 20.0 are one)
+    repeated = sorted({v for v in values if values.count(v) > 1})
+    if repeated:
+        raise ConfigError(f"sweep values must be distinct, got {parameter} "
+                          f"{', '.join(map(repr, repeated))} more than once")
     subs = [ExperimentConfig(cfg.scenario, {**cfg.params, parameter: v}) for v in values]
     for sub in subs:  # every value is checked before the first run
         _validate_keys(sub)

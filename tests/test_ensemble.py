@@ -644,22 +644,22 @@ def test_single_part_field_velocity_is_exactly_zero(grid, unit):
     assert np.all(field.at(positions) == 0.0)
 
 
-def _nodal_plane_wave(kind, seed):
-    """A _PLANE field for the few-point lookup checks.
+def _nodal_plane_wave(kind, seed, grid=_PLANE):
+    """A field on grid (_PLANE by default) for the few-point lookup checks.
 
     - "complex": band-limited, both parts non-zero;
     - "real-lines": real except for one imaginary value at node (5, 7), so
       the lines through most cells are real while the field is complex;
     - "nodal": complex with a node line on x node 20, where points cap.
     """
-    psi = _band_limited_wave(_PLANE, seed, real=kind == "real-lines")
+    psi = _band_limited_wave(grid, seed, real=kind == "real-lines")
     values = psi.values.copy()
     if kind == "real-lines":
         values[5, 7] += 0.5j
     elif kind == "nodal":
-        x = _PLANE.axis(0)
+        x = grid.axis(0)
         values *= (x - x[20])[:, None]
-    return WaveField(_PLANE, values)
+    return WaveField(grid, values)
 
 
 def _plane_points(grid):
@@ -682,13 +682,20 @@ def _whole_grid_field(psi, **kwargs):
     return field
 
 
-@settings(max_examples=60, deadline=None)
+# more x than y points, fewer, and unequal extents: the row-major planes
+# step by ny + 1 and the column-major ones by nx + 1, so swapping the two
+# shows only on a non-square grid
+_SPAN_GRIDS = [_PLANE, GridSpec.centered((12.0, 9.0), (32, 24)),
+               GridSpec.centered((10.0, 18.0), (24, 40))]
+
+
+@settings(max_examples=90, deadline=None)
 @given(seed=st.integers(0, 10_000),
        kind=st.sampled_from(["complex", "real-lines", "nodal"]),
-       pts=st.lists(_plane_points(_PLANE), min_size=1, max_size=12))
-def test_span_2d_lookup_equals_whole_grid_lookup(seed, kind, pts):
-    psi = _nodal_plane_wave(kind, seed)
-    positions = np.array(pts)
+       grid=st.sampled_from(_SPAN_GRIDS), data=st.data())
+def test_span_2d_lookup_equals_whole_grid_lookup(seed, kind, grid, data):
+    psi = _nodal_plane_wave(kind, seed, grid)
+    positions = np.array(data.draw(st.lists(_plane_points(grid), min_size=1, max_size=12)))
     masses = (0.7, 1.3)
     few, few_events = VelocityField(psi, masses=masses), NodeEvents()
     got = few.at(positions, few_events)
@@ -732,6 +739,21 @@ def test_2d_lines_transformed_once_per_field(monkeypatch):
     spans = field._spans
     assert transformed == [spans[1][1] - spans[1][0], spans[0][1] - spans[0][0]]
     assert field.at(point).tobytes() == first.tobytes()
+
+
+def test_2d_one_point_lookup_writes_one_run_per_plane():
+    # each plane group stores its lines contiguously, so a one-point lookup
+    # writes two whole padded lines of every plane, d0 psi's columns too,
+    # and nothing else
+    grid = GridSpec.centered((24.0, 20.0), (128, 96))
+    field = VelocityField(_band_limited_wave(grid, seed=2, real=False))
+    field._block.fill(np.nan)
+    field.at(np.array([[0.3, -1.1]]))
+    for group, line in zip(field._planes, (grid.points[1] + 1, grid.points[0] + 1)):
+        for plane in group:
+            written = np.flatnonzero(~np.isnan(plane.ravel()))
+            assert written.size == 2 * line
+            assert np.array_equal(written, written[0] + np.arange(2 * line))
 
 
 def test_streaming_2d_fields_equal_stored_over_a_full_window():

@@ -201,6 +201,18 @@ class TestSweep:
             sweep(fast_config(), "delta_t", [bad, 1e-4, 5e-5], tmp_path)
         assert not (tmp_path / "value_0").exists()
 
+    @pytest.mark.parametrize("parameter, values, named", [
+        ("delta_t", [1e-4, 1e-4, 1e-4], "delta_t 0.0001 more"),
+        ("delta_t", [2e-4, 1e-4, 5e-5, 1e-4], "delta_t 0.0001 more"),
+        # an integer key is compared after the cast: 20 and 20.0 are one value
+        ("n_micro", [20, 40, 20.0], "n_micro 20 more"),
+    ])
+    def test_repeated_value_rejected_before_any_run(self, tmp_path, parameter, values,
+                                                    named):
+        with pytest.raises(ConfigError, match=f"sweep values must be distinct, got {named}"):
+            sweep(fast_config(), parameter, values, tmp_path)
+        assert not list(tmp_path.glob("value_*"))
+
     @pytest.mark.parametrize("scenario", ["relaxation", "measurement", "conditional-pair"])
     def test_scenario_without_sweep_metric_rejected(self, tmp_path, scenario):
         cfg = ExperimentConfig.from_dict({"scenario": scenario})
@@ -437,6 +449,17 @@ class TestCli:
                          "--values", "20,30.5,40"]) == 2
         assert "'steps' must be an integer" in capsys.readouterr().err
         assert not (out_dir / "sweep" / "value_0").exists()
+
+    def test_sweep_repeated_value_exit_two_before_any_run(self, tmp_path, capsys):
+        # three identical runs used to print a fitted order and exit 0
+        out_dir = tmp_path / "runs"
+        cfg = self.write_config(tmp_path, {"scenario": "twofluid-verify",
+                                           "output_dir": str(out_dir)})
+        assert cli_main(["sweep", cfg, "--param", "delta_t",
+                         "--values", "1e-4,1e-4,1e-4"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "delta_t 0.0001 more than once" in err, err
+        assert not list(out_dir.rglob("value_*"))
 
     def test_non_finite_manifest_value_exit_two(self, tmp_path, capsys, monkeypatch):
         def scenario(cfg, outdir):
