@@ -724,10 +724,16 @@ def _check(key: str, kind, value):
         what = "a JSON object" if kind == "object" else "true or false"
         raise ConfigError(f"config key {key!r} must be {what}, got {value!r}")
     if kind == "indices":
-        if isinstance(value, (list, tuple)) and value:
-            return [_check(f"{key}[{i}]", "index", v) for i, v in enumerate(value)]
-        raise ConfigError(f"config key {key!r} must be a non-empty list of indices, "
-                          f"got {value!r}")
+        if not isinstance(value, (list, tuple)) or not value:
+            raise ConfigError(f"config key {key!r} must be a non-empty list of "
+                              f"indices, got {value!r}")
+        indices = [_check(f"{key}[{i}]", "index", v) for i, v in enumerate(value)]
+        # the list is a set: a repeat would count its index twice
+        for i, index in enumerate(indices):
+            if index in indices[:i]:
+                raise ConfigError(f"config key {key!r} names index {index} more "
+                                  f"than once, got {value!r}")
+        return indices
     # int() would truncate 2.7 to 2 and read true as 1; 640.0 is an integer;
     # an integer past the largest float would make isfinite raise
     integer = kind in _INTEGER_MINIMUM
@@ -796,6 +802,12 @@ def _validate_keys(cfg: ExperimentConfig) -> SimpleNamespace:
         if v["steps"] < 1:
             raise ConfigError(f"config key 't_end' ({v['t_end']!r}) is under half a "
                               f"step of {dt_key} ({v[dt_key]!r}): no step would run")
+    # a trap mode must be one of the eigenstates a grid axis has, one per point
+    for key in {"mode_index", "single_mode"} & v.keys():
+        modes = min(v["grid"].points)
+        if np.max(v[key]) >= modes:
+            raise ConfigError(f"config key {key!r} ({v[key]}) names a mode past the "
+                              f"grid's {modes} points per axis (modes 0 to {modes - 1})")
     if "checkpoints" in v and v["steps"] % v["checkpoints"]:
         raise ConfigError(f"config key 'checkpoints' ({v['checkpoints']}) must divide "
                           f"steps ({v['steps']}); the last steps would go unchecked")

@@ -13,11 +13,13 @@ eigenfunctions real-valued and parity-clean on symmetric potentials.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
+import os
 from dataclasses import dataclass, replace
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ConfigError, EigensolverError, UnitarityError
 from .grids import (
@@ -180,18 +182,70 @@ def probability_current(psi: WaveField, hbar: float = 1.0,
 
 
 def _fd_hamiltonian(potential: Potential, hbar: float, m: float) -> np.ndarray:
+    """The dense periodic finite-difference Hamiltonian, or a ConfigError
+    naming the constants when an entry overflows (LAPACK's result on a
+    matrix with an infinity is undefined)."""
     grid = potential.grid
     if grid.dims != 1:
         raise ConfigError("stationary_states handles 1D grids only")
     n = grid.points[0]
     h = grid.spacing[0]
     coeff = hbar**2 / (2.0 * m * h**2)
+    diagonal = 2.0 * coeff + potential.values
+    if not np.isfinite(diagonal).all():
+        raise ConfigError(
+            f"the Hamiltonian's kinetic term hbar^2 / (2 m h^2) is not finite "
+            f"(hbar={hbar!r}, m={m!r}, grid spacing h={h!r})")
     ham = np.zeros((n, n))
     idx = np.arange(n)
-    ham[idx, idx] = 2.0 * coeff + potential.values
+    ham[idx, idx] = diagonal
     ham[idx, (idx + 1) % n] = -coeff
     ham[idx, (idx - 1) % n] = -coeff
     return ham
+
+
+@cache
+def _flapack():
+    """scipy's f2py LAPACK extension, scipy/linalg/_flapack, loaded from its
+    file. Importing scipy.linalg would run its package __init__, whose
+    array-API layer imports numpy.f2py: 0.17 s and 19 MB of peak RSS on a
+    2-CPU Linux host with scipy 1.17, for the one routine this module calls."""
+    spec = importlib.util.find_spec("scipy")
+    for directory in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(directory, "linalg", "_flapack" + suffix)
+            if os.path.isfile(path):
+                loader = importlib.machinery.ExtensionFileLoader(
+                    "scipy.linalg._flapack", path)
+                module = importlib.util.module_from_spec(
+                    importlib.util.spec_from_file_location(loader.name, path,
+                                                           loader=loader))
+                loader.exec_module(module)
+                return module
+    raise ModuleNotFoundError(
+        "stationary_states needs scipy (>= 1.13): its LAPACK extension "
+        "scipy/linalg/_flapack was not found", name="scipy")
+
+
+def _lowest_eigenpairs(ham: np.ndarray, count: int):
+    """The count lowest eigenvalues and eigenvectors (columns) of the real
+    symmetric ham, from LAPACK's dsyevr with the arguments
+    scipy.linalg.eigh(ham, overwrite_a=True, subset_by_index=[0, count - 1])
+    passes, so the bytes are eigh's. ham should be Fortran-ordered: LAPACK
+    then overwrites it in place."""
+    lapack = _flapack()
+    n = ham.shape[0]
+    # eigh's workspace query, truncated to int as scipy's _compute_lwork does
+    work, iwork, info = lapack.dsyevr_lwork(n, lower=1)
+    if info != 0:
+        raise EigensolverError(f"dsyevr workspace query failed: info {info}")
+    energies, vectors, found, _, info = lapack.dsyevr(
+        ham, compute_v=1, range="I", lower=1, il=1, iu=count,
+        lwork=int(work), liwork=int(iwork), overwrite_a=1)
+    if info != 0 or found < count:
+        raise EigensolverError(f"dense eigensolver failed: dsyevr info {info}, "
+                               f"{found} of {count} eigenpairs found")
+    return energies[:found], vectors[:, :found]
 
 
 def stationary_states(potential: Potential, count: int, hbar: float = 1.0,
@@ -202,15 +256,22 @@ def stationary_states(potential: Potential, count: int, hbar: float = 1.0,
     potential; eigenfunctions are real, orthonormal with the grid measure,
     and sign-fixed so the largest-magnitude sample is positive. Only the
     `count` lowest pairs are computed; count must be an integer (not a
-    bool) in [1, points], or it is a ConfigError.
+    bool) in [1, points], or it is a ConfigError. A Hamiltonian with an
+    infinite entry (hbar^2 / m h^2 overflowing) is a ConfigError.
 
-    That sign is not tie-proof: in a parity-symmetric potential the two
+    The solver is LAPACK's dsyevr, called through scipy's f2py extension
+    with the arguments scipy.linalg.eigh(..., subset_by_index=...) passes,
+    so the pairs are eigh's to the bit; scipy.linalg itself is not
+    imported (see _flapack).
+
+    The sign is not tie-proof: in a parity-symmetric potential the two
     largest |phi| samples of every odd eigenstate are a mirror pair, equal
     to about 1e-15, so which of them counts as largest (and so the sign)
-    is settled by the rounding of the LAPACK routine: the subset driver,
-    which picks the full solve's sign on every potential the scenarios and
-    demos use. Another solver (numpy.linalg.eigh) flips some odd modes,
-    and with them every result built from a superposition of these states.
+    is settled by dsyevr's rounding. That picks the full solve's sign on
+    every potential the scenarios and demos use; another solver
+    (numpy.linalg.eigh) flips some odd modes, and with them every result
+    built from a superposition of these states. The tie stays until the
+    trap's states get a closed form with a fixed sign convention.
     """
     grid = potential.grid
     n = grid.points[0]
@@ -220,12 +281,8 @@ def stationary_states(potential: Potential, count: int, hbar: float = 1.0,
     # the transpose of the symmetric matrix is the Fortran-ordered copy eigh
     # would make, so LAPACK works in place on the same values (a dense copy
     # less at the memory peak of a pass); the residuals read a rebuilt one
-    try:
-        energies, vectors = scipy.linalg.eigh(
-            _fd_hamiltonian(potential, hbar, m).T, overwrite_a=True,
-            subset_by_index=[0, count - 1])
-    except scipy.linalg.LinAlgError as exc:  # pragma: no cover - rare
-        raise EigensolverError(f"dense eigensolver failed: {exc}") from exc
+    energies, vectors = _lowest_eigenpairs(
+        _fd_hamiltonian(potential, hbar, m).T, int(count))
     ham = _fd_hamiltonian(potential, hbar, m)
     h = grid.spacing[0]
     pairs = []

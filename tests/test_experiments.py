@@ -569,6 +569,33 @@ class TestCli:
         assert f"config key {key!r} ({doc[key]}): " in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("doc, message", [
+        ({"scenario": "relaxation", "mode_index": [2, 3, 2]},
+         "config key 'mode_index' names index 2 more than once"),
+        ({"scenario": "relaxation", "mode_index": [2, 128]},
+         "config key 'mode_index' ([2, 128]) names a mode past the grid's 128 points"),
+        ({"scenario": "relaxation", "mode_index": [2, 40], "grid": {"points": [64, 32]}},
+         "config key 'mode_index' ([2, 40]) names a mode past the grid's 32 points"),
+        ({"scenario": "measurement", "single_mode": 300},
+         "config key 'single_mode' (300) names a mode past the grid's 256 points"),
+    ], ids=["repeated-mode", "mode-past-the-grid", "mode-past-one-axis",
+            "single-mode-past-the-grid"])
+    def test_mode_the_eigensolver_cannot_give_exit_two_before_any_run(
+            self, tmp_path, capsys, no_eigensolve, doc, message):
+        # a repeated mode used to be weighted twice, each time with its own
+        # random phase; a mode past the grid failed in the eigensolver with a
+        # message about its count, naming no key
+        err = self.assert_config_error(tmp_path, capsys, doc)
+        assert message in err
+        assert not (tmp_path / "out").exists()
+
+    def test_overflowing_hamiltonian_exit_two(self, tmp_path, capsys):
+        # used to exit with "ValueError: array must not contain infs or NaNs"
+        err = self.assert_config_error(tmp_path, capsys, {
+            "scenario": "equivariance", "constants": {"hbar": 1e154, "m": 1e-100}})
+        assert "(hbar=1e+154, m=1e-100, grid spacing h=0.046875)" in err
+        assert not (tmp_path / "out" / "run_manifest.json").exists()
+
     def test_sweep_bins_the_statistics_reject_exit_two_before_any_run(
             self, tmp_path, capsys, no_eigensolve):
         out_dir = tmp_path / "runs"

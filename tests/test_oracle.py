@@ -1,5 +1,12 @@
 """Reference propagator and eigensolver checks against analytic solutions."""
 
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -239,6 +246,20 @@ def fresh_split_step(state, potential, steps):
     return psi
 
 
+# the potentials whose states the scenarios and demos use: equivariance
+# (24/512), relaxation's two axes (20/128 at omega and at the golden ratio
+# times omega, modes up to 7), measurement and demo 05 (24/256) and the
+# brute-force measurement grid (24/128)
+SCENARIO_POTENTIALS = [
+    (24.0, 512, 1.0, 2),
+    (20.0, 128, 1.0, 8),
+    (20.0, 128, 0.5 * (1 + np.sqrt(5.0)), 8),
+    (24.0, 256, 1.0, 3),
+    (24.0, 256, 1.0, 4),
+    (24.0, 128, 1.0, 2),
+]
+
+
 class TestStationaryStates:
     def test_harmonic_spectrum(self, eigenpairs512):
         for k, (energy, _) in enumerate(eigenpairs512):
@@ -284,18 +305,7 @@ class TestStationaryStates:
                                   np.int64(128))
         assert len(pairs) == 128
 
-    # the potentials whose states the scenarios and demos use: equivariance
-    # (24/512), relaxation's two axes (20/128 at omega and at the golden ratio
-    # times omega, modes up to 7), measurement and demo 05 (24/256) and the
-    # brute-force measurement grid (24/128)
-    @pytest.mark.parametrize("extent, points, omega, count", [
-        (24.0, 512, 1.0, 2),
-        (20.0, 128, 1.0, 8),
-        (20.0, 128, 0.5 * (1 + np.sqrt(5.0)), 8),
-        (24.0, 256, 1.0, 3),
-        (24.0, 256, 1.0, 4),
-        (24.0, 128, 1.0, 2),
-    ])
+    @pytest.mark.parametrize("extent, points, omega, count", SCENARIO_POTENTIALS)
     def test_lowest_pairs_match_the_full_solve(self, extent, points, omega, count):
         # the largest-sample sign rule is not tie-proof on odd states, so the
         # subset solve must pick the sign the full solve picked
@@ -310,17 +320,128 @@ class TestStationaryStates:
             assert abs(energy - energies[k]) <= 1e-12 * abs(energies[k])
             assert np.abs(phi.values - signs[k] * vectors[:, k]).max() <= 1e-12
 
+    @pytest.mark.parametrize("extent, points, omega, count",
+                             SCENARIO_POTENTIALS + [(24.0, 512, 1.0, 512)])
+    def test_driver_gives_the_bytes_of_eigh(self, extent, points, omega, count):
+        # dsyevr called with eigh's arguments: the same eigenpairs to the bit
+        potential = Potential.harmonic(GridSpec.centered(extent, points), omega)
+        energies, vectors = oracle._lowest_eigenpairs(
+            oracle._fd_hamiltonian(potential, 1.0, 1.0).T, count)
+        ref_energies, ref_vectors = scipy.linalg.eigh(
+            oracle._fd_hamiltonian(potential, 1.0, 1.0).T, overwrite_a=True,
+            subset_by_index=[0, count - 1])
+        assert energies.tobytes() == ref_energies.tobytes()
+        assert vectors.shape == ref_vectors.shape == (points, count)
+        assert vectors.tobytes() == ref_vectors.tobytes()
+
+    def test_odd_modes_keep_their_positive_lobe(self):
+        # the sign tie on odd states is settled by dsyevr's rounding, which
+        # depends on the BLAS thread count, so the lobes are pinned at the
+        # one thread the benchmark runs with; a solver or BLAS change that
+        # flips a mode fails here with the potential and the mode named
+        lobes = json.loads(run_python("""
+import json
+import numpy as np
+from qfluid.grids import GridSpec
+from qfluid.oracle import Potential, stationary_states
+lobes = {}
+for extent, points, omega, count in %r:
+    grid = GridSpec.centered(extent, points)
+    x = grid.axis(0)
+    states = [phi.values.real for _, phi in
+              stationary_states(Potential.harmonic(grid, omega), count)]
+    lobes[f"{extent}/{points} omega {omega:.3f}, {count} states"] = {
+        k: "left" if phi[np.argmax(np.abs(phi) * (x < 0))] > 0 else "right"
+        for k, phi in enumerate(states) if k %% 2}
+print(json.dumps(lobes))
+""" % SCENARIO_POTENTIALS, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+            MKL_NUM_THREADS="1"))
+        assert lobes == {
+            "24.0/512 omega 1.000, 2 states": {"1": "left"},
+            "20.0/128 omega 1.000, 8 states":
+                {"1": "left", "3": "left", "5": "right", "7": "left"},
+            "20.0/128 omega 1.618, 8 states":
+                {"1": "right", "3": "right", "5": "right", "7": "right"},
+            "24.0/256 omega 1.000, 3 states": {"1": "left"},
+            "24.0/256 omega 1.000, 4 states": {"1": "left", "3": "left"},
+            "24.0/128 omega 1.000, 2 states": {"1": "left"},
+        }
+
+    @staticmethod
+    def patch_driver(monkeypatch, **wrappers):
+        """oracle's LAPACK extension with the output of each named routine
+        passed through its wrapper."""
+        real = oracle._flapack()
+
+        def wrapped(name):
+            routine, wrap = getattr(real, name), wrappers.get(name)
+            return routine if wrap is None else lambda *a, **kw: wrap(*routine(*a, **kw))
+
+        monkeypatch.setattr(oracle, "_flapack", lambda: SimpleNamespace(
+            dsyevr=wrapped("dsyevr"), dsyevr_lwork=wrapped("dsyevr_lwork")))
+
     def test_corrupted_eigenpair_raises(self, monkeypatch):
-        real_eigh = scipy.linalg.eigh
+        def corrupted(energies, vectors, found, isuppz, info):
+            vectors[:, found - 1] += 1e-3 * vectors[:, 0]
+            return energies, vectors, found, isuppz, info
 
-        def corrupted(*args, **kwargs):
-            energies, vectors = real_eigh(*args, **kwargs)
-            vectors[:, -1] += 1e-3 * vectors[:, 0]
-            return energies, vectors
-
-        monkeypatch.setattr(scipy.linalg, "eigh", corrupted)
+        self.patch_driver(monkeypatch, dsyevr=corrupted)
         with pytest.raises(EigensolverError, match="eigenpair 1 residual"):
             stationary_states(Potential.harmonic(GridSpec.centered(24.0, 128), 1.0), 2)
+
+    @pytest.mark.parametrize("routine, result, message", [
+        ("dsyevr", lambda w, z, found, isuppz, info: (w, z, found, isuppz, 3),
+         "dsyevr info 3, 2 of 2 eigenpairs found"),
+        ("dsyevr", lambda w, z, found, isuppz, info: (w, z, 1, isuppz, info),
+         "dsyevr info 0, 1 of 2 eigenpairs found"),
+        ("dsyevr_lwork", lambda work, iwork, info: (work, iwork, -1),
+         "workspace query failed: info -1"),
+    ], ids=["info", "too-few-pairs", "workspace-query"])
+    def test_driver_failure_raises(self, monkeypatch, routine, result, message):
+        self.patch_driver(monkeypatch, **{routine: result})
+        with pytest.raises(EigensolverError, match=message):
+            stationary_states(Potential.harmonic(GridSpec.centered(24.0, 128), 1.0), 2)
+
+    def test_missing_extension_is_named(self, monkeypatch):
+        monkeypatch.setattr(oracle.importlib.util, "find_spec", lambda name: None)
+        with pytest.raises(ModuleNotFoundError, match="scipy/linalg/_flapack was not found"):
+            oracle._flapack.__wrapped__()
+
+
+def run_python(code: str, **env) -> str:
+    """Standard output of code run in a fresh interpreter that imports the
+    package from src/, with env added to the environment."""
+    env = {**os.environ, **env}
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else src
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_eigensolve_imports_neither_scipy_linalg_nor_f2py():
+    # scipy.linalg's __init__ (and numpy.f2py, which it pulls in) is the
+    # largest import cost the package would pay; the driver is loaded from
+    # its extension file instead, and scipy.linalg still imports after that
+    result = json.loads(run_python("""
+import json, sys
+import qfluid.cli
+from qfluid import oracle
+from qfluid.grids import GridSpec
+potential = oracle.Potential.harmonic(GridSpec.centered(24.0, 128), 1.0)
+before = [phi.values.tobytes() for _, phi in oracle.stationary_states(potential, 3)]
+loaded = [name for name in ("scipy.linalg", "numpy.f2py") if name in sys.modules]
+import scipy.linalg
+ours = oracle._lowest_eigenpairs(oracle._fd_hamiltonian(potential, 1.0, 1.0).T, 3)
+eigh = scipy.linalg.eigh(oracle._fd_hamiltonian(potential, 1.0, 1.0).T,
+                         overwrite_a=True, subset_by_index=[0, 2])
+after = [phi.values.tobytes() for _, phi in oracle.stationary_states(potential, 3)]
+print(json.dumps({"loaded": loaded, "same_states": before == after,
+                  "same_as_eigh": all(a.tobytes() == b.tobytes()
+                                      for a, b in zip(ours, eigh))}))
+"""))
+    assert result == {"loaded": [], "same_states": True, "same_as_eigh": True}
 
 
 def test_coherent_state_matches_fine_split_step(grid512, harmonic512):
