@@ -207,3 +207,13 @@ def configuration_velocity(state: ConfigWaveField) -> VelocityField:
     """Full configuration-space guiding velocity, one component per particle."""
     return VelocityField(state.psi, hbar=state.hbar, masses=state.masses)
 
+
+def _identity_error(state: ConfigWaveField, positions: np.ndarray,
+                    events: NodeEvents | None = None) -> float:
+    """Largest gap, over pair positions (n, 2) and both particles, between
+    the conditional guiding velocities and configuration_velocity, which
+    the identity of the two routes makes zero up to rounding."""
+    v_full = configuration_velocity(state).at(positions, events)
+    v_cond = np.stack([conditional_guiding_velocities(state, positions, particle, events)
+                       for particle in (0, 1)], axis=-1)
+    return float(np.max(np.abs(v_cond - v_full)))

@@ -555,12 +555,12 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline, steps: int,
     NaN or infinite start position is a NonFiniteFieldError.
 
     Over a stored WaveTimeline, an ensemble of at least two blocks per CPU
-    of the affinity mask is transported in forked processes, one contiguous
-    share of whole blocks per CPU (_forked_transport), bit-identical to the
-    serial loop. The parent's share comes first and holds at least two
-    blocks, so it records any history of up to 2 * _BLOCK trajectories; a
-    longer one stays serial, as does a streaming timeline, since every
-    process would repeat each split step.
+    of the affinity mask is transported in one contiguous share of whole
+    blocks per CPU (_fork_join), bit-identical to the serial loop. The
+    parent's share comes first and holds at least two blocks, so it records
+    any history of up to 2 * _BLOCK trajectories; a longer one stays
+    serial, as does a streaming timeline, since every process would repeat
+    each split step.
     """
     _check_steps(steps)
     if timeline.grid != ens.grid:
@@ -569,8 +569,6 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline, steps: int,
     if ens.size and not (math.isfinite(ens.positions.min())
                          and math.isfinite(ens.positions.max())):
         _check_finite(ens.positions, "start positions")
-    x = np.array(ens.positions, dtype=float)
-    events = _TrajectoryEvents(ever_capped=np.zeros(ens.size, dtype=bool))
     if isinstance(record_history, bool):
         keep = ens.size
     elif isinstance(record_history, (int, np.integer)) and 0 <= record_history <= ens.size:
@@ -578,17 +576,31 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline, steps: int,
     else:
         raise ConfigError(f"record_history={record_history!r} is neither a bool nor "
                           f"a count of 0 to {ens.size} trajectories")
-    history = [x[:keep].copy()] if record_history else None
+    history = [np.array(ens.positions[:keep], dtype=float)] if record_history else None
     t = 0.0 if t_start is None else t_start
     blocks = [slice(lo, lo + _BLOCK) for lo in range(0, ens.size, _BLOCK)]
-    shares = _shares(ens.size) if isinstance(timeline, WaveTimeline) else 1
-    if shares > 1 and (history is None or len(history[0]) <= 2 * _BLOCK):
-        _forked_transport(x, ens.positions, blocks, shares, timeline, steps, t,
-                          events, history)
-    else:
-        _rk4(x, blocks, timeline, steps, t, events, history)
+    most = 1
+    if isinstance(timeline, WaveTimeline) and (history is None or keep <= 2 * _BLOCK):
+        most = min(_cpus(), ens.size // (2 * _BLOCK))
+    shares = _shares(len(blocks), most)
+    x = np.empty(np.shape(ens.positions))
+    ever_capped = np.zeros(ens.size, dtype=bool)
+    counts = np.zeros((len(shares), 2), dtype=np.int64)  # evaluations, capped
 
-    capped_count = int(events.ever_capped.sum())
+    def share(j: int, part: slice):
+        # from the start positions, so that a rerun share is the serial loop's
+        span = slice(part.start * _BLOCK, part.stop * _BLOCK)
+
+        def run():
+            x[span] = ens.positions[span]
+            ever_capped[span] = False
+            events = _TrajectoryEvents(ever_capped=ever_capped)
+            _rk4(x, blocks[part], timeline, steps, t, events, None if j else history)
+            counts[j] = events.evaluations, events.capped
+        return run, (counts[j], x[span], ever_capped[span])
+
+    _fork_join([share(j, part) for j, part in enumerate(shares)])
+    capped_count = int(ever_capped.sum())
     out = replace(
         ens,
         positions=x,
@@ -596,7 +608,7 @@ def propagate_ensemble(ens: TrajectoryEnsemble, timeline, steps: int,
     )
     return PropagationResult(
         ensemble=out,
-        events=NodeEvents(events.evaluations, events.capped),
+        events=NodeEvents(*(int(c) for c in counts.sum(axis=0))),
         capped_trajectories=capped_count,
         degraded=capped_count > DEGRADED_CAP_FRACTION * ens.size,
     )
@@ -628,48 +640,50 @@ def _rk4(x: np.ndarray, blocks: list[slice], timeline, steps: int, t: float,
             history.append(x[:len(history[0])].copy())
 
 
-def _shares(n: int) -> int:
-    """How many processes transport n trajectories: one per CPU of the
-    affinity mask, each with at least two whole blocks; one without fork, or
-    while another Python thread runs (it could hold a lock a worker needs)."""
+def _cpus() -> int:
+    """How many processes a _fork_join may run: one per CPU of the affinity
+    mask; one without fork, or while another Python thread runs (it could
+    hold a lock a worker needs)."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
             and threading.active_count() == 1):
         return 1
-    return max(1, min(len(os.sched_getaffinity(0)), n // (2 * _BLOCK)))
+    return len(os.sched_getaffinity(0))
 
 
-def _forked_transport(x: np.ndarray, initial: np.ndarray, blocks: list[slice],
-                      shares: int, timeline, steps: int, t: float,
-                      events: _TrajectoryEvents, history: list | None = None):
-    """_rk4 over all blocks of x, one contiguous share of blocks per process.
+def _shares(n: int, most: int) -> list[slice]:
+    """range(n) cut into min(most, n) contiguous shares, at least one, the
+    larger ones first: each share after the first runs in a forked worker,
+    which pays the fork's copy-on-write faults."""
+    count = max(1, min(most, n))
+    cut = [-(-n * i // count) for i in range(count + 1)]
+    return [slice(a, b) for a, b in zip(cut[:-1], cut[1:])]
 
-    The parent forks one worker per share after the first and runs the
-    first share itself, with the history, which must lie in that share.
-    Each worker sends its two event counts, positions and ever-capped flags
-    through a pipe, which the parent reads straight into x and events
-    before it reaps the worker, so no page is added to
-    the parent's memory, as a shared result buffer would. A worker leaves
-    by os._exit, so no atexit handler runs and no stdio buffer is flushed
-    twice. Its own report of failure is never
-    trusted: the parent reruns every share whose worker could not be
-    forked, sent less or exited non-zero, in one serial loop from the
-    initial positions, so the caller sees the serial loop's result or
-    exception. An exception in the parent's own share propagates. No
-    worker outlives the call on any path.
+
+def _fork_join(tasks: list):
+    """Run every task of tasks, each a pair (run, outputs), and return what
+    tasks[0]'s run returns: tasks[0] runs in this process and, when _cpus()
+    allows, each other task in a forked worker.
+
+    run() must overwrite every byte of its outputs, C-contiguous arrays,
+    from inputs that no task writes. A worker sends its outputs through a
+    pipe, which the parent reads straight into its own arrays before it
+    reaps the worker, so no page is added to the parent's memory, as a
+    shared result buffer would. A worker leaves by os._exit, so no atexit
+    handler runs and no stdio buffer is flushed twice. Its own report of
+    failure is never trusted: the parent reruns, in order, every task whose
+    worker could not be forked, sent less or exited non-zero, so the caller
+    sees the serial result or exception. An exception in the parent's own
+    task propagates. No worker outlives the call on any path.
     """
-    # workers pay the fork's copy-on-write faults and build their velocity
-    # fields again, so an uneven split leaves the extra block to the parent
-    cut = [-(-len(blocks) * i // shares) for i in range(shares + 1)]
-    parts = [blocks[a:b] for a, b in zip(cut[:-1], cut[1:])]
-    spans = [slice(part[0].start, part[-1].stop) for part in parts]
-    counts = np.zeros(2, dtype=np.int64)
-    pids, pipes, failed = {}, {}, []  # pid -> share; share -> read end
+    if len(tasks) < 2 or _cpus() < 2:
+        return [run() for run, _ in tasks][0]
+    pids, pipes, failed = {}, {}, []  # pid -> task; task -> read end
     try:
         # signals wait until each fork is recorded, so that none can leave a
         # worker unrecorded or run a worker on into the caller's code
         mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
         try:
-            for j in range(1, shares):
+            for j in range(1, len(tasks)):
                 fds = ()
                 try:
                     fds = os.pipe()
@@ -677,17 +691,16 @@ def _forked_transport(x: np.ndarray, initial: np.ndarray, blocks: list[slice],
                 except OSError:  # out of descriptors or processes
                     for fd in fds:
                         os.close(fd)
-                    failed += parts[j]
+                    failed.append(j)
                     continue
                 if pid == 0:
                     code = 1
                     try:
                         signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                        own = _TrajectoryEvents(ever_capped=events.ever_capped)
-                        _rk4(x, parts[j], timeline, steps, t, own)
-                        counts[:] = own.evaluations, own.capped
+                        run, outputs = tasks[j]
+                        run()
                         with open(fds[1], "wb") as pipe:
-                            for part in (counts, x[spans[j]], own.ever_capped[spans[j]]):
+                            for part in outputs:
                                 pipe.write(part)
                         code = 0
                     finally:
@@ -697,23 +710,17 @@ def _forked_transport(x: np.ndarray, initial: np.ndarray, blocks: list[slice],
                 pids[pid] = j
         finally:
             signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-        _rk4(x, parts[0], timeline, steps, t, events, history)
+        result = tasks[0][0]()
         for pid, j in list(pids.items()):
-            into = (counts, x[spans[j]], events.ever_capped[spans[j]])
-            sent = [pipes[j].readinto(part) for part in into]
+            outputs = tasks[j][1]
+            sent = [pipes[j].readinto(part) for part in outputs]
             _, status = os.waitpid(pid, 0)
             del pids[pid]
-            if status != 0 or sent != [part.nbytes for part in into]:
-                failed += parts[j]
-                continue
-            events.evaluations += int(counts[0])
-            events.capped += int(counts[1])
-        if failed:
-            failed.sort(key=lambda block: block.start)
-            for block in failed:
-                x[block] = initial[block]
-                events.ever_capped[block] = False
-            _rk4(x, failed, timeline, steps, t, events)
+            if status != 0 or sent != [part.nbytes for part in outputs]:
+                failed.append(j)
+        for j in sorted(failed):
+            tasks[j][0]()
+        return result
     finally:
         for pipe in pipes.values():
             pipe.close()

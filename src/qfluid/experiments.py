@@ -54,18 +54,16 @@ from .ensemble import (
     WaveTimeline,
     _checked_bins,
     _coarse_bins,
+    _fork_join,
     bootstrap_coarse_H,
     coarse_grained_H,
     equivariance_distance,
     propagate_ensemble,
     sample_equilibrium,
 )
-from .conditional import (
-    ConfigWaveField,
-    conditional_guiding_velocities,
-    configuration_velocity,
-)
+from .conditional import ConfigWaveField, _identity_error
 from .measurement import (
+    _whole_steps,
     joint_grid,
     lobe_masses,
     marginal_mean,
@@ -554,46 +552,45 @@ def _scenario_conditional_pair(p: SimpleNamespace, outdir: Path):
 
     a = gaussian_packet(grid1, 0.7, center=-2.5, momentum=0.8, hbar=hbar)
     b = gaussian_packet(grid1, 0.7, center=2.5, momentum=-0.4, hbar=hbar)
-    entangled = ConfigWaveField(
-        WaveField(grid2, (np.outer(a.values, b.values)
-                          + np.outer(b.values, a.values)) / np.sqrt(2)).normalized(),
-        hbar=hbar, m1=m, m2=m,
-    )
-
-    # capped evaluations of the identity check (both routes), plus capped
-    # trajectories of the three transports below
-    guidance_events = NodeEvents()
-    ens = sample_equilibrium(entangled.psi.density(), p.n_samples, p.seed)
-    v_full = configuration_velocity(entangled).at(ens.positions, guidance_events)
-    v_cond = np.stack([
-        conditional_guiding_velocities(entangled, ens.positions, particle,
-                                       guidance_events)
-        for particle in (0, 1)
-    ], axis=-1)
-    worst = float(np.max(np.abs(v_cond - v_full)))
-    del entangled, ens, v_full, v_cond
-
-    # product state: pair transport reduces to independent 1D problems
     u1 = Potential.harmonic(grid1, p.omega, m)
-    joint_pot = Potential(ScalarField(grid2, u1.values[:, None] + u1.values[None, :]))
-    period = 2 * np.pi / p.omega
-    dt = period / steps
-    pair = propagate_ensemble(
-        TrajectoryEnsemble(grid=grid2, positions=np.array([[p.x1, p.x2]])),
-        OracleTimeline(WaveField(grid2, np.outer(a.values, b.values)).normalized(),
-                       joint_pot, dt, hbar, m), steps,
-    )
-    single_a = propagate_ensemble(
-        TrajectoryEnsemble(grid=grid1, positions=np.array([p.x1])),
-        OracleTimeline(a, u1, dt, hbar, m), steps, record_history=False,
-    )
-    single_b = propagate_ensemble(
-        TrajectoryEnsemble(grid=grid1, positions=np.array([p.x2])),
-        OracleTimeline(b, u1, dt, hbar, m), steps, record_history=False,
-    )
+    dt = 2 * np.pi / p.omega / steps  # steps cover one trap period
+    # a worker may run the identity check and the single-particle transports;
+    # it sends the identity error, the singles' end positions, and the capped
+    # evaluations of both routes plus the capped singles (exact in floats)
+    sent = np.empty(4)
+
+    def independent():
+        events = NodeEvents()
+        entangled = ConfigWaveField(
+            WaveField(grid2, (np.outer(a.values, b.values)
+                              + np.outer(b.values, a.values)) / np.sqrt(2)).normalized(),
+            hbar=hbar, m1=m, m2=m,
+        )
+        ens = sample_equilibrium(entangled.psi.density(), p.n_samples, p.seed)
+        sent[0] = _identity_error(entangled, ens.positions, events)
+        del entangled, ens
+        sent[3] = events.capped
+        for i, (x, packet) in enumerate(((p.x1, a), (p.x2, b))):
+            single = propagate_ensemble(
+                TrajectoryEnsemble(grid=grid1, positions=np.array([x])),
+                OracleTimeline(packet, u1, dt, hbar, m), steps, record_history=False,
+            )
+            sent[1 + i] = single.ensemble.positions[0]
+            sent[3] += single.capped_trajectories
+
+    def joint():  # product state: pair transport reduces to independent 1D problems
+        joint_pot = Potential(ScalarField(grid2, u1.values[:, None] + u1.values[None, :]))
+        return propagate_ensemble(
+            TrajectoryEnsemble(grid=grid2, positions=np.array([[p.x1, p.x2]])),
+            OracleTimeline(WaveField(grid2, np.outer(a.values, b.values)).normalized(),
+                           joint_pot, dt, hbar, m), steps,
+        )
+
+    pair = _fork_join([(joint, ()), (independent, (sent,))])
+    worst = float(sent[0])
     moved, history = pair.ensemble.positions[0], pair.ensemble.history[:, 0]
     # positions wrap into the ring, so the gap is the minimum-image distance
-    gaps = np.abs(moved - [single_a.ensemble.positions[0], single_b.ensemble.positions[0]])
+    gaps = np.abs(moved - sent[1:3])
     pair_gap = float(np.minimum(gaps, grid1.extent[0] - gaps).max())
 
     metrics = {
@@ -612,9 +609,7 @@ def _scenario_conditional_pair(p: SimpleNamespace, outdir: Path):
         str(_write_table(outdir / "pair_history.csv",
                          ["pair_id", "t", "x1", "x2"], hist_rows)),
     ]
-    capped = (guidance_events.capped + pair.capped_trajectories
-              + single_a.capped_trajectories + single_b.capped_trajectories)
-    return metrics, criteria, outputs, capped
+    return metrics, criteria, outputs, pair.capped_trajectories + int(sent[3])
 
 
 # ----------------------------------------------------------------------
@@ -777,7 +772,8 @@ def _filled(scenario: str, prefix: str, doc: dict, table: dict, axes=None) -> di
 def _validate_keys(cfg: ExperimentConfig) -> SimpleNamespace:
     """The checked values of cfg with every default filled in: the scenario's
     keys, the constants, grid as a GridSpec and tolerances as a namespace.
-    A t_end becomes the step count steps, and checkpoints must divide steps.
+    A t_end becomes the step count steps, and checkpoints must divide steps,
+    as brute_dt must divide duration_pair.
     bins and cell_size must make bins the statistics accept, and bins also
     gives equivariance's H cell h_cell. Any bad key or value is a
     ConfigError that names it."""
@@ -808,6 +804,10 @@ def _validate_keys(cfg: ExperimentConfig) -> SimpleNamespace:
         if np.max(v[key]) >= modes:
             raise ConfigError(f"config key {key!r} ({v[key]}) names a mode past the "
                               f"grid's {modes} points per axis (modes 0 to {modes - 1})")
+    if v.get("run_brute") and _whole_steps(v["duration_pair"], v["brute_dt"]) is None:
+        raise ConfigError(f"config key 'brute_dt' ({v['brute_dt']!r}) must divide "
+                          f"duration_pair ({v['duration_pair']!r}) into whole steps, "
+                          f"at least one")
     if "checkpoints" in v and v["steps"] % v["checkpoints"]:
         raise ConfigError(f"config key 'checkpoints' ({v['checkpoints']}) must divide "
                           f"steps ({v['steps']}); the last steps would go unchecked")

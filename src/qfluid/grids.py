@@ -424,9 +424,11 @@ def _ghost_shifts(values: np.ndarray, axis: int):
 
 
 def fd_derivative(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
-    """8th-order centered first derivative with periodic wrap."""
+    """8th-order centered first derivative with periodic wrap, along grid
+    axis `axis` of the trailing grid.dims axes of values (leading axes stack
+    fields, each differentiated bit for bit as alone)."""
     h = grid.spacing[axis]
-    shift = _ghost_shifts(values, axis)
+    shift = _ghost_shifts(values, values.ndim - grid.dims + axis)
     out = np.zeros_like(values)
     for offset, w in enumerate(_D1_W, start=1):
         out += w * (shift(offset) - shift(-offset))
@@ -434,9 +436,10 @@ def fd_derivative(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
 
 
 def fd_second_derivative(values: np.ndarray, grid: GridSpec, axis: int) -> np.ndarray:
-    """8th-order centered second derivative with periodic wrap."""
+    """8th-order centered second derivative with periodic wrap; axes as in
+    fd_derivative."""
     h = grid.spacing[axis]
-    shift = _ghost_shifts(values, axis)
+    shift = _ghost_shifts(values, values.ndim - grid.dims + axis)
     out = _D2_W0 * values
     for offset, w in enumerate(_D2_W, start=1):
         out += w * (shift(offset) + shift(-offset))

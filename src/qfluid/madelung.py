@@ -265,26 +265,24 @@ def _sigmoid(x: np.ndarray) -> np.ndarray:
     return 1.0 / (1.0 + np.exp(-np.clip(x, -60.0, 60.0)))
 
 
-def _log_polar_rhs(g: np.ndarray, s: np.ndarray, grid: GridSpec,
-                   u_vals: np.ndarray, hbar: float, m: float):
+def _log_polar_rhs(y: np.ndarray, grid: GridSpec, u_vals: np.ndarray, hbar: float,
+                   m: float) -> np.ndarray:
+    """d/dt of y = (g, S), stacked like y: each stencil runs once per grid
+    axis on both rows, and every term keeps the operand order of the
+    per-row formulas, so each row is what its own stencil calls give."""
+    g = y[0]
     q = 2.0 * (g - g.max())  # log relative density
     w = _sigmoid((q - _FREEZE_LOG) / _TAPER_WIDTH)
 
-    grad_g = [fd_derivative(g, grid, ax) for ax in range(grid.dims)]
-    grad_s = [fd_derivative(s, grid, ax) for ax in range(grid.dims)]
-    lap_g = sum(fd_second_derivative(g, grid, ax) for ax in range(grid.dims))
-    lap_s = sum(fd_second_derivative(s, grid, ax) for ax in range(grid.dims))
+    grads = [fd_derivative(y, grid, ax) for ax in range(grid.dims)]
+    lap_g, lap_s = sum(fd_second_derivative(y, grid, ax) for ax in range(grid.dims))
 
-    dg = -w * (
-        sum(gg * gs for gg, gs in zip(grad_g, grad_s)) + 0.5 * lap_s
-    ) / m
-    quantum = lap_g + sum(gg * gg for gg in grad_g)
-    ds = -(
-        w * sum(gs * gs for gs in grad_s) / (2.0 * m)
-        + u_vals
-        - (hbar**2 / (2.0 * m)) * quantum
-    )
-    return dg, ds
+    k = np.empty_like(y)
+    np.divide(-w * (sum(d[0] * d[1] for d in grads) + 0.5 * lap_s), m, out=k[0])
+    quantum = lap_g + sum(d[0] * d[0] for d in grads)
+    np.negative(w * sum(d[1] * d[1] for d in grads) / (2.0 * m) + u_vals
+                - (hbar**2 / (2.0 * m)) * quantum, out=k[1])
+    return k
 
 
 def madelung_step(state: MadelungState, potential: Potential, dt: float) -> MadelungState:
@@ -310,18 +308,16 @@ def madelung_step(state: MadelungState, potential: Potential, dt: float) -> Made
         )
     grid = state.grid
     u_vals = potential.values
-    g0 = 0.5 * np.log(np.maximum(state.rho.values, 1e-300))
-    s0 = state.S.values
+    y0 = np.stack((0.5 * np.log(np.maximum(state.rho.values, 1e-300)), state.S.values))
 
-    def rhs(g, s):
-        return _log_polar_rhs(g, s, grid, u_vals, state.hbar, state.m)
+    def rhs(y):
+        return _log_polar_rhs(y, grid, u_vals, state.hbar, state.m)
 
-    k1g, k1s = rhs(g0, s0)
-    k2g, k2s = rhs(g0 + 0.5 * dt * k1g, s0 + 0.5 * dt * k1s)
-    k3g, k3s = rhs(g0 + 0.5 * dt * k2g, s0 + 0.5 * dt * k2s)
-    k4g, k4s = rhs(g0 + dt * k3g, s0 + dt * k3s)
-    g1 = g0 + dt / 6.0 * (k1g + 2 * k2g + 2 * k3g + k4g)
-    s1 = s0 + dt / 6.0 * (k1s + 2 * k2s + 2 * k3s + k4s)
+    k1 = rhs(y0)
+    k2 = rhs(y0 + 0.5 * dt * k1)
+    k3 = rhs(y0 + 0.5 * dt * k2)
+    k4 = rhs(y0 + dt * k3)
+    g1, s1 = y0 + dt / 6.0 * (k1 + 2 * k2 + 2 * k3 + k4)
 
     with np.errstate(over="raise"):
         try:

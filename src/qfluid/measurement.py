@@ -18,8 +18,11 @@ independent cross-check.
 
 from __future__ import annotations
 
+from functools import partial
+
 import numpy as np
 
+from .ensemble import _cpus, _fork_join, _shares
 from .errors import ConfigError, DomainSizeError
 from .grids import GridSpec, ScalarField, WaveField, integrate
 from .oracle import Potential
@@ -120,9 +123,10 @@ def pointer_measurement_brute(coeffs, eigenpairs, pointer: WaveField,
     sys0 = sum(c * p[1].values for c, p in zip(coeffs, eigenpairs))
     psi = np.outer(sys0, pointer.values).astype(complex)
 
-    steps = round(duration / dt)
-    if abs(steps * dt - duration) > 1e-9 * max(duration, 1.0):
-        raise ConfigError("dt must divide the interaction duration")
+    steps = _whole_steps(duration, dt)
+    if steps is None:
+        raise ConfigError(f"dt={dt!r} must divide the interaction duration {duration!r} "
+                          f"into whole steps, at least one")
     if steps == 0:  # the merged phases below assume at least one step
         return WaveField(grid2, psi)
     # tables laid out (k_y, x), so every x transform runs on contiguous rows
@@ -134,15 +138,35 @@ def pointer_measurement_brute(coeffs, eigenpairs, pointer: WaveField,
     half_b = np.exp(-0.5j * u * factor * dt / hbar)
     full_b = np.exp(-1j * u * factor * dt / hbar)
     full_a = np.exp(-1j * kinetic_x * factor * dt / hbar)
-    phi = half_b * np.fft.fft(psi, axis=1).T
-    # every step runs in phi; complex products round by operand order, and
-    # phi * full_a is the order numpy's temporary elision gave `full_a * fft`
-    for step in range(1, steps + 1):
-        np.fft.fft(phi, axis=1, out=phi)
-        np.multiply(phi, full_a, out=phi)
-        np.fft.ifft(phi, axis=1, out=phi)
-        np.multiply(half_b if step == steps else full_b, phi, out=phi)
+    start = half_b * np.fft.fft(psi, axis=1).T
+    del psi
+    phi = np.empty(start.shape, dtype=complex)
+
+    def evolve(rows: slice):
+        # each k_y row evolves alone, and its transforms give the same bytes
+        # in any batch of rows; complex products round by operand order, and
+        # out * full_a is the order numpy's temporary elision gave `full_a * fft`
+        out = phi[rows]
+        out[:] = start[rows]
+        for step in range(1, steps + 1):
+            np.fft.fft(out, axis=1, out=out)
+            np.multiply(out, full_a[rows], out=out)
+            np.fft.ifft(out, axis=1, out=out)
+            np.multiply((half_b if step == steps else full_b)[rows], out, out=out)
+
+    _fork_join([(partial(evolve, rows), (phi[rows],))
+                for rows in _shares(len(phi), _cpus())])
     return WaveField(grid2, np.fft.ifft(np.ascontiguousarray(phi.T), axis=1))
+
+
+def _whole_steps(duration: float, dt: float) -> int | None:
+    """round(duration / dt) when exact to 1e-9, not negative and, for a
+    positive duration, at least one; None otherwise."""
+    steps = round(duration / dt)
+    if (steps < (1 if duration > 0 else 0)
+            or abs(steps * dt - duration) > 1e-9 * max(duration, 1.0)):
+        return None
+    return steps
 
 
 def pointer_marginal(joint: WaveField) -> ScalarField:

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -45,3 +47,18 @@ def phase_aligned_l2(psi_values, ref_values, grid):
     overlap = np.vdot(psi_values, ref_values)
     phase = overlap / abs(overlap)
     return field_l2(psi_values * phase - ref_values, grid)
+
+
+def on_cpus(monkeypatch, cpus):
+    """Pretend the affinity mask holds `cpus` CPUs; count the forks."""
+    forks = []
+    real_fork = os.fork
+
+    def fork():
+        forks.append(1)
+        return real_fork()
+
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
+                        raising=False)
+    monkeypatch.setattr(os, "fork", fork)
+    return forks

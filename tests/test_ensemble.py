@@ -1,11 +1,13 @@
 """Guided-ensemble transport, equilibrium sampling and relaxation metrics."""
 
 import os
+import time
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from conftest import on_cpus as _on_cpus
 from qfluid.errors import ConfigError, NonFiniteFieldError
 from qfluid.grids import (
     GridSpec,
@@ -1093,21 +1095,6 @@ def _forked_case(dims):
     return TrajectoryEnsemble(grid=grid, positions=positions), timeline, dt, steps
 
 
-def _on_cpus(monkeypatch, cpus):
-    """Pretend the affinity mask holds `cpus` CPUs; count the forks."""
-    forks = []
-    real_fork = os.fork
-
-    def fork():
-        forks.append(1)
-        return real_fork()
-
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)),
-                        raising=False)
-    monkeypatch.setattr(os, "fork", fork)
-    return forks
-
-
 def _outcome(res):
     return (res.ensemble.positions.tobytes(), res.events, res.capped_trajectories,
             res.degraded)
@@ -1191,5 +1178,73 @@ def test_forked_transport_past_the_timeline_raises_and_leaves_no_child(monkeypat
         propagate_ensemble(ens, timeline, steps + 1, record_history=False)
     assert len(forks) == 1
     assert str(forked.value) == str(serial.value)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _root_tasks(parent, exits=(), raises=()):
+    """Three fork-join tasks, each writing the square roots of a shifted
+    input into its own row of one array. In a worker, task j leaves with
+    status 3 after its run when j is in exits, and raises when j is in
+    raises."""
+    src = np.arange(3000.0)
+    rows = np.full((3, 3000), np.nan)
+
+    def task(j):
+        def run():
+            np.sqrt(src + j, out=rows[j])
+            if os.getpid() != parent and j in exits:
+                os._exit(3)
+            if os.getpid() != parent and j in raises:
+                raise RuntimeError("worker-only failure")
+        return run, (rows[j],)
+
+    return [task(j) for j in range(3)], rows
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fork_join_reruns_the_task_of_a_failed_worker(monkeypatch):
+    forks = _on_cpus(monkeypatch, 1)
+    tasks, serial = _root_tasks(os.getpid())
+    ensemble_module._fork_join(tasks)
+    assert not forks
+    forks = _on_cpus(monkeypatch, 2)
+    for exits, raises in [((), ()), ((1,), ()), ((), (2,)), ((1, 2), ())]:
+        tasks, forked = _root_tasks(os.getpid(), exits, raises)
+        ensemble_module._fork_join(tasks)
+        assert forked.tobytes() == serial.tobytes()
+    assert len(forks) == 8
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("raiser", [0, 1])
+def test_fork_join_raises_the_serial_exception_and_leaves_no_child(monkeypatch, raiser):
+    parent = os.getpid()
+
+    def tasks():
+        out = np.empty((2, 8))
+
+        def task(j):
+            def run():
+                if j == raiser:
+                    raise ValueError(f"task {j} failed")
+                if os.getpid() != parent:
+                    time.sleep(60)  # a worker still busy when the parent raises
+                out[j] = j
+            return run, (out[j],)
+        return [task(0), task(1)]
+
+    _on_cpus(monkeypatch, 1)
+    with pytest.raises(ValueError) as serial:
+        ensemble_module._fork_join(tasks())
+    forks = _on_cpus(monkeypatch, 2)
+    started = time.monotonic()
+    with pytest.raises(ValueError) as forked:
+        ensemble_module._fork_join(tasks())
+    assert time.monotonic() - started < 30
+    assert len(forks) == 1
+    assert str(forked.value) == str(serial.value) == f"task {raiser} failed"
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

@@ -7,6 +7,7 @@ import os
 import numpy as np
 import pytest
 
+from conftest import on_cpus
 from qfluid.cli import main as cli_main
 from qfluid.errors import ConfigError, QFluidError
 from qfluid import ensemble, experiments, oracle
@@ -372,6 +373,22 @@ class TestCli:
         assert "Traceback" not in err
         return err
 
+    @pytest.mark.parametrize("doc", [
+        {"scenario": "measurement", "duration_pair": 1e-9},
+        {"scenario": "measurement", "brute_dt": 3},
+    ], ids=["under-half-a-step", "not-a-divisor"])
+    def test_brute_step_that_does_not_divide_the_pair_duration_exit_two(
+            self, tmp_path, capsys, doc):
+        # 1e-9 used to run no brute step and fail lobe_deviation_brute with
+        # exit 1; 3 exited 2 naming neither key
+        err = self.assert_config_error(tmp_path, capsys, doc)
+        assert "'brute_dt'" in err and "duration_pair" in err
+        assert not (tmp_path / "out").exists()
+        # without the brute force neither key constrains the other
+        closed = run(ExperimentConfig.from_dict(dict(doc, run_brute=False)),
+                     tmp_path / "closed")
+        assert "lobe_deviation_brute" not in closed.metrics
+
     def test_zero_checkpoints_exit_two(self, tmp_path, capsys):
         self.assert_config_error(tmp_path, capsys, {
             "scenario": "equivariance", "n_trajectories": 100, "steps": 10,
@@ -628,6 +645,27 @@ def test_conditional_pair_reports_its_capping(tmp_path):
     assert not manifest.passed
     assert manifest.capping_events == 2
     assert json.loads((tmp_path / "run_manifest.json").read_text())["capping_events"] == 2
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_forked_conditional_pair_is_bit_identical_to_serial(monkeypatch, tmp_path):
+    # a worker runs the identity check and the single particles; the capped
+    # single particle a checks the counts it sends back
+    cfg = ExperimentConfig.from_dict(
+        {"scenario": "conditional-pair", "x1": 4.0, "n_samples": 50, "steps": 100})
+    runs = []
+    for cpus, want_forks in ((1, 0), (2, 1)):
+        forks = on_cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        run(cfg, out)
+        assert len(forks) == want_forks
+        doc = json.loads((out / "run_manifest.json").read_text())
+        del doc["wall_time_s"], doc["outputs"]
+        runs.append((doc, (out / "pair_history.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][0]["capping_events"] == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_product_pair_gap_is_measured_round_the_ring(tmp_path):

@@ -1,8 +1,11 @@
 """Pointer-measurement model: exact translation action and 2D cross-check."""
 
+import os
+
 import numpy as np
 import pytest
 
+from conftest import on_cpus
 from qfluid.errors import ConfigError, DomainSizeError
 from qfluid.grids import GridSpec, integrate
 from qfluid.oracle import Potential, gaussian_packet, stationary_states
@@ -135,6 +138,11 @@ class TestBruteForceCrossCheck:
         with pytest.raises(ConfigError):
             pointer_measurement_brute([1, 0], pairs, pointer, potential,
                                       1.0, 1.0, dt=0.3)
+        # a positive duration under half a step used to run no step at all
+        for duration in (1e-9, -1.0):
+            with pytest.raises(ConfigError, match="at least one"):
+                pointer_measurement_brute([1, 0], pairs, pointer, potential,
+                                          1.0, duration, dt=2e-3)
 
 
     @pytest.fixture(scope="class")
@@ -165,6 +173,26 @@ class TestBruteForceCrossCheck:
         initial = np.outer(0.6 * pairs[0][1].values + 0.8 * pairs[1][1].values,
                            pointer.values)
         assert np.array_equal(brute.values, initial)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("rows", [32, 33])
+def test_forked_brute_force_is_bit_identical_to_serial(monkeypatch, rows):
+    # the k_y rows split into contiguous shares, the parent's the larger
+    grid_x = GridSpec.centered(24.0, 48)
+    potential = Potential.harmonic(grid_x, 1.0)
+    pairs = stationary_states(potential, 2)
+    pointer = gaussian_packet(GridSpec.centered(16.0, rows), POINTER_WIDTH, center=Y0)
+    args = ([0.6, 0.8], pairs, pointer, potential, 1.0, 0.5)
+    forks = on_cpus(monkeypatch, 1)
+    serial = pointer_measurement_brute(*args, dt=1e-2)
+    assert not forks
+    forks = on_cpus(monkeypatch, 2)
+    forked = pointer_measurement_brute(*args, dt=1e-2)
+    assert len(forks) == 1
+    assert forked.values.tobytes() == serial.values.tobytes()
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def three_transform_strang(coeffs, eigenpairs, pointer, potential_x, coupling,
