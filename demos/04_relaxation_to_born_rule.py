@@ -34,19 +34,21 @@ steps = 1000
 dt = period / steps
 positions = np.random.default_rng(102).uniform(-2.5, 2.5, (n_traj, 2))
 ensemble = TrajectoryEnsemble(grid=grid, positions=positions)
-timeline = OracleTimeline(psi0, joint, dt)
 
 print(f"{n_traj} trajectories, uniform start, {len(modes)**2} modes")
 print(f"{'t / period':>12} {'coarse H':>10}")
 h0 = coarse_grained_H(ensemble, psi0, cell_size=8)
 print(f"{0.0:>12.2f} {h0:>10.4f}")
 current = ensemble
-for chunk in range(10):
-    result = propagate_ensemble(current, timeline, steps // 10,
-                                record_history=False,
-                                t_start=chunk * (steps // 10) * dt)
-    current = result.ensemble
-    t = (chunk + 1) * (steps // 10) * dt
-    h = coarse_grained_H(current, timeline.at(t), cell_size=8)
-    print(f"{t / period:>12.2f} {h:>10.4f}")
+# on two or more CPUs a forked producer runs the split steps ahead of the
+# transport; leaving the block stops it
+with OracleTimeline(psi0, joint, dt) as timeline:
+    for chunk in range(10):
+        result = propagate_ensemble(current, timeline, steps // 10,
+                                    record_history=False,
+                                    t_start=chunk * (steps // 10) * dt)
+        current = result.ensemble
+        t = (chunk + 1) * (steps // 10) * dt
+        h = coarse_grained_H(current, timeline.at(t), cell_size=8)
+        print(f"{t / period:>12.2f} {h:>10.4f}")
 print(f"\ndecay over one period: {(h0 - h) / h0:.0%}")

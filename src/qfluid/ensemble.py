@@ -29,6 +29,7 @@ import os
 import signal
 import threading
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -61,6 +62,14 @@ _BLOCK = 8192
 # the wave fields one RK4 step reads (t, t + dt/2, t + dt): what a timeline
 # keeps of its fields and velocity fields
 _RK4_FIELDS = 3
+# the least a fed timeline's pipe holds (F_SETPIPE_SZ), and the most Linux
+# lets an unprivileged process set by default; with the default 64 KB a
+# 128^2 field (256 KB) crosses in four handoffs and the fed relaxation run
+# took 1.14 s against 0.86 s with 1 MB
+_PIPE_BYTES = 1 << 20
+# the one process that may fork: in a forked worker or producer _cpus() is
+# 1, so nothing a task calls forks a grandchild
+_FORKER = os.getpid()
 
 
 @dataclass(frozen=True)
@@ -466,6 +475,19 @@ class OracleTimeline(_Timeline):
     lattice and keeps the latest _RK4_FIELDS fields. Time requests must move
     forward (RK4 sub-stage order is fine); rewinding past them raises. The
     split-step sequence is that of WaveTimeline.from_oracle.
+
+    Used as a context manager (`with OracleTimeline(...) as timeline:`) on
+    two or more CPUs (_cpus()), it is fed: one forked producer runs the same
+    one-step split steps ahead from the last field and writes each field's
+    bytes to a pipe made to hold at least one field and _PIPE_BYTES, and the
+    parent reads each into a fresh array, so its time goes to lookups. The
+    parent never trusts the producer: on a short read it reaps it and takes
+    the step itself, so a producer that dies gives the same bytes and an
+    error a step raises (UnitarityError) is raised by the parent at the same
+    step. Leaving the block closes the pipe and kills and reaps the
+    producer on every path; a new block starts a new one from the last
+    field. Outside a block, on one CPU, or when the pipe cannot hold a
+    field, the steps run in-process.
     """
 
     def __init__(self, psi0: WaveField, potential: Potential, dt: float,
@@ -475,12 +497,43 @@ class OracleTimeline(_Timeline):
         self._state = PropagatorState(psi0, 0.0, self.half_dt, hbar, m)
         self._index = 0
         self._fields: dict[int, WaveField] = {0: psi0}
+        self._producer: dict = {}  # pid -> None while a producer feeds _pipe
+        self._pipe = None
+
+    def __enter__(self) -> "OracleTimeline":
+        if self._pipe is None and _cpus() >= 2:
+            nbytes = self._state.psi.values.nbytes
+            self._pipe = _fork(partial(_produce, self._state, self.potential),
+                               self._producer, None, max(nbytes, _PIPE_BYTES))
+        return self
+
+    def __exit__(self, *exc):
+        self._stop()
+
+    def _stop(self):
+        """Close the pipe, and kill and reap the producer."""
+        if self._pipe is not None:
+            self._pipe.close()
+            self._pipe = None
+        _reap(self._producer)
+
+    def _step(self) -> PropagatorState:
+        """The next state: the producer's field when it sent all of it,
+        else (and from then on) the parent's own split step."""
+        state = self._state
+        if self._pipe is not None:
+            values = np.empty_like(state.psi.values)
+            if self._pipe.readinto(values.ravel("K")) == values.nbytes:
+                return replace(state, psi=WaveField._adopt(state.psi.grid, values),
+                               t=state.t + 1 * state.dt)
+            self._stop()
+        return split_step_evolve(state, self.potential, 1)
 
     def _field(self, j: int) -> WaveField:
         if j < min(self._fields):
             raise ConfigError("streaming timeline cannot rewind; use WaveTimeline to replay")
         while self._index < j:
-            self._state = split_step_evolve(self._state, self.potential, 1)
+            self._state = self._step()
             self._index += 1
             self._fields[self._index] = self._state.psi
             self._fields.pop(self._index - _RK4_FIELDS, None)
@@ -491,6 +544,16 @@ class OracleTimeline(_Timeline):
 
     def velocity(self, t: float) -> VelocityField:
         return self._velocity(t)
+
+
+def _produce(state: PropagatorState, potential: Potential, pipe):
+    """A fed OracleTimeline's producer: the split steps on from state, each
+    field's bytes written to pipe, until the reader is gone."""
+    while True:
+        state = split_step_evolve(state, potential, 1)
+        pipe.write(state.psi.values.ravel("K"))
+        # a field smaller than the writer's buffer would wait in it
+        pipe.flush()
 
 
 def _shift_in(pos: np.ndarray, grid: GridSpec, exact: bool = False) -> np.ndarray:
@@ -642,10 +705,10 @@ def _rk4(x: np.ndarray, blocks: list[slice], timeline, steps: int, t: float,
 
 def _cpus() -> int:
     """How many processes a _fork_join may run: one per CPU of the affinity
-    mask; one without fork, or while another Python thread runs (it could
-    hold a lock a worker needs)."""
+    mask; one without fork, while another Python thread runs (it could hold
+    a lock a worker needs), or in any process but _FORKER."""
     if not (hasattr(os, "fork") and hasattr(os, "sched_getaffinity")
-            and threading.active_count() == 1):
+            and threading.active_count() == 1 and os.getpid() == _FORKER):
         return 1
     return len(os.sched_getaffinity(0))
 
@@ -659,57 +722,97 @@ def _shares(n: int, most: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(cut[:-1], cut[1:])]
 
 
+def _fork(body, pids: dict, key, pipe_bytes: int = 0):
+    """Fork a process that runs body(pipe), pipe the write end of a new pipe
+    opened "wb", and return the read end opened "rb"; None when no pipe,
+    pipe size or process could be had, and nothing was forked.
+
+    With pipe_bytes the pipe is first made to hold at least that many bytes
+    (F_SETPIPE_SZ). Signals are blocked from the fork until the process is
+    recorded as pids[pid] = key, so that none can leave it unrecorded or run
+    it on into the caller's code. The process leaves by os._exit, so no
+    atexit handler runs and no stdio buffer is flushed twice: with status 0
+    once body returns or its reader is gone (BrokenPipeError), 1 on any
+    other exception. The caller kills and reaps it (_reap).
+    """
+    try:
+        fds = os.pipe()
+    except OSError:  # out of descriptors
+        return None
+    try:
+        if pipe_bytes:
+            import fcntl
+            try:
+                fcntl.fcntl(fds[1], fcntl.F_SETPIPE_SZ, pipe_bytes)
+            except AttributeError:  # no F_SETPIPE_SZ on this platform
+                raise OSError("pipe size cannot be set") from None
+        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
+        try:
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+                    os.close(fds[0])
+                    with open(fds[1], "wb") as pipe:
+                        body(pipe)
+                    code = 0
+                except BrokenPipeError:
+                    code = 0
+                finally:
+                    os._exit(code)
+            pids[pid] = key
+        finally:
+            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+    except OSError:  # the pipe size refused, or out of processes
+        for fd in fds:
+            os.close(fd)
+        return None
+    os.close(fds[1])
+    return open(fds[0], "rb")
+
+
+def _reap(pids: dict):
+    """SIGKILL and reap every process of pids, and forget them."""
+    for pid in pids:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+    pids.clear()
+
+
+def _send(task, pipe):
+    """A _fork_join worker's body: run the task, then write its outputs."""
+    run, outputs = task
+    run()
+    for part in outputs:
+        pipe.write(part)
+
+
 def _fork_join(tasks: list):
     """Run every task of tasks, each a pair (run, outputs), and return what
     tasks[0]'s run returns: tasks[0] runs in this process and, when _cpus()
-    allows, each other task in a forked worker.
+    allows, each other task in a worker forked by _fork.
 
     run() must overwrite every byte of its outputs, C-contiguous arrays,
     from inputs that no task writes. A worker sends its outputs through a
     pipe, which the parent reads straight into its own arrays before it
     reaps the worker, so no page is added to the parent's memory, as a
-    shared result buffer would. A worker leaves by os._exit, so no atexit
-    handler runs and no stdio buffer is flushed twice. Its own report of
-    failure is never trusted: the parent reruns, in order, every task whose
-    worker could not be forked, sent less or exited non-zero, so the caller
-    sees the serial result or exception. An exception in the parent's own
-    task propagates. No worker outlives the call on any path.
+    shared result buffer would. Its own report of failure is never trusted:
+    the parent reruns, in order, every task whose worker could not be
+    forked, sent less or exited non-zero, so the caller sees the serial
+    result or exception. An exception in the parent's own task propagates.
+    No worker outlives the call on any path.
     """
     if len(tasks) < 2 or _cpus() < 2:
         return [run() for run, _ in tasks][0]
     pids, pipes, failed = {}, {}, []  # pid -> task; task -> read end
     try:
-        # signals wait until each fork is recorded, so that none can leave a
-        # worker unrecorded or run a worker on into the caller's code
-        mask = signal.pthread_sigmask(signal.SIG_BLOCK, signal.valid_signals())
-        try:
-            for j in range(1, len(tasks)):
-                fds = ()
-                try:
-                    fds = os.pipe()
-                    pid = os.fork()
-                except OSError:  # out of descriptors or processes
-                    for fd in fds:
-                        os.close(fd)
-                    failed.append(j)
-                    continue
-                if pid == 0:
-                    code = 1
-                    try:
-                        signal.pthread_sigmask(signal.SIG_SETMASK, mask)
-                        run, outputs = tasks[j]
-                        run()
-                        with open(fds[1], "wb") as pipe:
-                            for part in outputs:
-                                pipe.write(part)
-                        code = 0
-                    finally:
-                        os._exit(code)
-                os.close(fds[1])
-                pipes[j] = open(fds[0], "rb")
-                pids[pid] = j
-        finally:
-            signal.pthread_sigmask(signal.SIG_SETMASK, mask)
+        for j in range(1, len(tasks)):
+            pipe = _fork(partial(_send, tasks[j]), pids, j)
+            if pipe is None:
+                failed.append(j)
+            else:
+                pipes[j] = pipe
         result = tasks[0][0]()
         for pid, j in list(pids.items()):
             outputs = tasks[j][1]
@@ -724,9 +827,7 @@ def _fork_join(tasks: list):
     finally:
         for pipe in pipes.values():
             pipe.close()
-        for pid in pids:
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
+        _reap(pids)
 
 
 def _cell_cdf(vals: np.ndarray, grid: GridSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -930,9 +1031,42 @@ def bootstrap_coarse_H(ens: TrajectoryEnsemble, psi: WaveField,
     gives the same histogram density as binning the positions, on flat bins
     in the same order: the estimate equals coarse_grained_H bit for bit.
     """
-    rho_bar, bin_volume, flat = _binned(ens, psi, _coarse_bins(ens.grid, cell_size))
+    binned = _coarse_binned(ens, psi, cell_size)
+    return (_entropy(*binned),) + _band(*binned, n_boot, seed)
+
+
+def _band(rho_bar: np.ndarray, bin_volume: float, bin_of: np.ndarray, n_boot: int,
+          seed: int) -> tuple[float, float]:
+    """bootstrap_coarse_H's 95% band of the histogram of bin indices bin_of."""
     rng = np.random.default_rng(seed)
-    samples = [_entropy(rho_bar, bin_volume, flat[rng.integers(0, ens.size, size=ens.size)])
+    n = len(bin_of)
+    samples = [_entropy(rho_bar, bin_volume, bin_of[rng.integers(0, n, size=n)])
                for _ in range(n_boot)]
     lo, hi = np.percentile(samples, [2.5, 97.5])
-    return _entropy(rho_bar, bin_volume, flat), float(lo), float(hi)
+    return float(lo), float(hi)
+
+
+def _coarse_binned(ens: TrajectoryEnsemble, psi: WaveField,
+                   cell_size: int) -> tuple[np.ndarray, float, np.ndarray]:
+    """coarse_grained_H's bin averages, bin volume and trajectory bins, the
+    bins in the smallest unsigned type that holds them (bincount counts
+    them alike), so that relaxation can keep one per checkpoint for
+    _bootstrap_bands."""
+    rho_bar, bin_volume, bin_of = _binned(ens, psi, _coarse_bins(ens.grid, cell_size))
+    return rho_bar, bin_volume, bin_of.astype(np.min_scalar_type(rho_bar.size))
+
+
+def _bootstrap_bands(kept: list, seeds: list[int], n_boot: int = 200) -> list:
+    """bootstrap_coarse_H's (H, lo, hi) of each _coarse_binned checkpoint of
+    kept with its seed, bit for bit; the bands split into one contiguous
+    share of checkpoints per CPU (_fork_join)."""
+    bands = np.empty((len(kept), 2))
+
+    def share(part: slice):
+        def run():
+            for c in range(part.start, part.stop):
+                bands[c] = _band(*kept[c], n_boot, seeds[c])
+        return run, (bands[part],)
+
+    _fork_join([share(part) for part in _shares(len(kept), _cpus())])
+    return [(_entropy(*k), lo, hi) for k, (lo, hi) in zip(kept, bands.tolist())]

@@ -52,10 +52,11 @@ from .ensemble import (
     OracleTimeline,
     TrajectoryEnsemble,
     WaveTimeline,
+    _bootstrap_bands,
     _checked_bins,
+    _coarse_binned,
     _coarse_bins,
     _fork_join,
-    bootstrap_coarse_H,
     coarse_grained_H,
     equivariance_distance,
     propagate_ensemble,
@@ -436,27 +437,31 @@ def _scenario_relaxation(p: SimpleNamespace, outdir: Path):
     positions = rng_pos.uniform(-p.start_half_width, p.start_half_width,
                                 (p.n_trajectories, 2))
     current = TrajectoryEnsemble(grid=grid, positions=positions)
-    timeline = OracleTimeline(psi0, joint, dt, hbar, m)
-
-    rows = []
-    h0, lo, hi = bootstrap_coarse_H(current, psi0, cell, seed=500)
-    rows.append([0.0, h0, lo, hi])
-    # the timeline drops its first field once it has moved past it
-    del psi0
+    # each checkpoint's bins are kept; the bootstrap bands come after the
+    # transport, split across CPUs
+    kept = [_coarse_binned(current, psi0, cell)]
     capped = 0
     chunk = steps // p.checkpoints
+    # fed by a forked producer on two or more CPUs
+    with OracleTimeline(psi0, joint, dt, hbar, m) as timeline:
+        # the timeline drops its first field once it has moved past it
+        del psi0
+        for c in range(p.checkpoints):
+            res = propagate_ensemble(current, timeline, chunk,
+                                     record_history=False, t_start=c * chunk * dt)
+            current = res.ensemble
+            capped += res.capped_trajectories
+            kept.append(_coarse_binned(current, timeline.at((c + 1) * chunk * dt), cell))
+    rows = []
     worst_excess = -np.inf
-    for c in range(p.checkpoints):
-        res = propagate_ensemble(current, timeline, chunk,
-                                 record_history=False, t_start=c * chunk * dt)
-        current = res.ensemble
-        capped += res.capped_trajectories
-        t = (c + 1) * chunk * dt
-        h, lo, hi = bootstrap_coarse_H(current, timeline.at(t), cell, seed=500 + c)
-        increase = h - rows[-1][1]
-        band = (hi - lo) / 2 + (rows[-1][3] - rows[-1][2]) / 2
-        worst_excess = max(worst_excess, increase - band)
-        rows.append([t, h, lo, hi])
+    # the start and the first checkpoint both take seed 500
+    for c, (h, lo, hi) in enumerate(_bootstrap_bands(kept,
+                                                     [500, *range(500, 500 + p.checkpoints)])):
+        if rows:
+            increase = h - rows[-1][1]
+            band = (hi - lo) / 2 + (rows[-1][3] - rows[-1][2]) / 2
+            worst_excess = max(worst_excess, increase - band)
+        rows.append([c * chunk * dt, h, lo, hi])
 
     decay = (rows[0][1] - rows[-1][1]) / rows[0][1]
     metrics = {

@@ -46,6 +46,8 @@ __all__ = [
 ]
 
 NORM_DRIFT_ABORT = 1e-6
+# values per BLAS call of the norm check (split_step_evolve)
+_NORM_CHUNK = 8192
 # an eigenpair residual |H v - E v| above this times max(1, |E|) raises
 EIGEN_RESIDUAL_TOL = 1e-6
 
@@ -140,6 +142,13 @@ def split_step_evolve(state: PropagatorState, potential: Potential,
     src = state.psi.values
     psi = np.empty_like(src) if steps > 0 else src
     cellvol = state.psi.grid.cell_volume
+    # the norm check's views of psi, one BLAS call each: OpenBLAS runs a
+    # complex dot of more than 10^4 values on its helper threads, which then
+    # spin between steps and take a CPU from the parent of a fed
+    # OracleTimeline. A field of one chunk (every 1D grid here) keeps the
+    # one-call bits
+    flat = psi.ravel("K")
+    chunks = [flat[i:i + _NORM_CHUNK] for i in range(0, flat.size, _NORM_CHUNK)]
     # the same transform; fft skips fftn's axes handling on 1D grids
     fft, ifft = ((np.fft.fft, np.fft.ifft) if src.ndim == 1
                  else (np.fft.fftn, np.fft.ifftn))
@@ -153,7 +162,7 @@ def split_step_evolve(state: PropagatorState, potential: Potential,
         np.multiply(psi, kin, out=psi)
         ifft(psi, out=psi)
         np.multiply(half_v, psi, out=psi)
-        norm = np.sqrt(np.vdot(psi, psi).real * cellvol)
+        norm = np.sqrt(sum(np.vdot(c, c).real for c in chunks) * cellvol)
         if abs(norm - 1.0) > NORM_DRIFT_ABORT:
             raise UnitarityError(
                 f"norm drifted to {norm!r} after a step at t={state.t!r}"

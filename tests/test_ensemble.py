@@ -1,6 +1,7 @@
 """Guided-ensemble transport, equilibrium sampling and relaxation metrics."""
 
 import os
+import signal
 import time
 
 import numpy as np
@@ -8,7 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from conftest import on_cpus as _on_cpus
-from qfluid.errors import ConfigError, NonFiniteFieldError
+from qfluid.errors import ConfigError, NonFiniteFieldError, UnitarityError
 from qfluid.grids import (
     GridSpec,
     ScalarField,
@@ -1246,5 +1247,204 @@ def test_fork_join_raises_the_serial_exception_and_leaves_no_child(monkeypatch, 
     assert time.monotonic() - started < 30
     assert len(forks) == 1
     assert str(forked.value) == str(serial.value) == f"task {raiser} failed"
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_fork_join_in_a_worker_runs_its_tasks_serially(monkeypatch):
+    parent = os.getpid()
+    forks = _on_cpus(monkeypatch, 2)
+    # row 1: the inner results, the worker's pid and the forks it counted
+    out = np.zeros((2, 4))
+
+    def outer():
+        inner = np.zeros(2)
+
+        def task(i):
+            def run():
+                inner[i] = 10 + i
+            return run, (inner[i:i + 1],)
+
+        ensemble_module._fork_join([task(0), task(1)])
+        out[1] = (*inner, os.getpid(), len(forks))
+
+    ensemble_module._fork_join([(lambda: None, ()), (outer, (out[1],))])
+    assert len(forks) == 1
+    assert out[1, :2].tolist() == [10.0, 11.0]
+    # the task ran in the worker, which forked nothing
+    assert out[1, 2] != parent and out[1, 3] == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _fed_case():
+    """A 48 x 32 packet in a trap, a streaming timeline of it and 200 start
+    positions: four continuations of three steps each."""
+    grid = GridSpec.centered((12.0, 8.0), (48, 32))
+    psi0 = WaveField(grid, np.outer(gaussian_packet(grid.axis_line(0), 1.0, momentum=1.0).values,
+                                    gaussian_packet(grid.axis_line(1), 0.8, momentum=-0.5).values))
+    potential = Potential.harmonic(grid, 1.0)
+    ens = TrajectoryEnsemble(grid=grid, positions=np.random.default_rng(8).uniform(
+        -2.0, 2.0, (200, 2)))
+    return psi0, potential, ens, 0.05, 3
+
+
+def _stream(timeline, ens, dt, chunk, calls, start=0):
+    """Positions and last field bytes after each of `calls` continuations."""
+    out = []
+    for c in range(start, start + calls):
+        ens = propagate_ensemble(ens, timeline, chunk, record_history=False,
+                                 t_start=c * chunk * dt).ensemble
+        out.append((ens.positions.tobytes(), timeline.at((c + 1) * chunk * dt).values.tobytes()))
+    return out, ens
+
+
+def _in_process(calls=4):
+    psi0, potential, ens, dt, chunk = _fed_case()
+    return _stream(OracleTimeline(psi0, potential, dt), ens, dt, chunk, calls)[0]
+
+
+class _CountedSplitSteps:
+    """split_step_evolve as the ensemble module calls it, counting the calls
+    this process makes and raising UnitarityError before step `fail`."""
+
+    def __init__(self, monkeypatch, fail=None):
+        self.calls = 0
+        self.fail = fail
+        self.real = ensemble_module.split_step_evolve
+        monkeypatch.setattr(ensemble_module, "split_step_evolve", self)
+
+    def __call__(self, state, potential, steps):
+        self.calls += 1
+        if self.fail is not None and round(state.t / state.dt) + 1 == self.fail:
+            raise UnitarityError(f"norm drifted after a step at t={state.t!r}")
+        return self.real(state, potential, steps)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_fed_timeline_is_bit_identical_to_the_in_process_stream(monkeypatch, cpus):
+    want = _in_process()
+    forks = _on_cpus(monkeypatch, cpus)
+    steps = _CountedSplitSteps(monkeypatch)
+    psi0, potential, ens, dt, chunk = _fed_case()
+    with OracleTimeline(psi0, potential, dt) as timeline:
+        got, _ = _stream(timeline, ens, dt, chunk, 4)
+    assert got == want
+    assert len(forks) == cpus - 1
+    # fed, the parent takes no split step
+    assert steps.calls == (0 if cpus == 2 else 2 * chunk * 4)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_killed_producer_gives_the_same_bytes(monkeypatch):
+    # 96 fields of 24 KB: more than the 1 MB pipe holds, so the parent
+    # runs out of sent fields after the kill
+    want = _in_process(16)
+    forks = _on_cpus(monkeypatch, 2)
+    steps = _CountedSplitSteps(monkeypatch)
+    psi0, potential, ens, dt, chunk = _fed_case()
+    with OracleTimeline(psi0, potential, dt) as timeline:
+        got, ens = _stream(timeline, ens, dt, chunk, 2)
+        os.kill(next(iter(timeline._producer)), signal.SIGKILL)
+        more, _ = _stream(timeline, ens, dt, chunk, 14, start=2)
+    assert got + more == want
+    assert len(forks) == 1
+    # the parent took the steps the producer had not sent
+    assert 0 < steps.calls < 2 * chunk * 16
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_split_step_error_is_raised_by_the_parent_at_the_same_step(monkeypatch, cpus):
+    forks = _on_cpus(monkeypatch, cpus)
+    steps = _CountedSplitSteps(monkeypatch, fail=5)
+    psi0, potential, ens, dt, chunk = _fed_case()
+    with OracleTimeline(psi0, potential, dt) as timeline:
+        for j in range(1, 5):
+            timeline.at(j * timeline.half_dt)
+        with pytest.raises(UnitarityError) as raised:
+            timeline.at(5 * timeline.half_dt)
+    assert str(raised.value) == f"norm drifted after a step at t={4 * timeline.half_dt!r}"
+    assert len(forks) == cpus - 1
+    # fed, the parent's one split step is the failing one
+    assert steps.calls == (1 if cpus == 2 else 5)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_pipe_that_cannot_hold_a_field_streams_in_process(monkeypatch):
+    import fcntl
+
+    want = _in_process()
+    forks = _on_cpus(monkeypatch, 2)
+
+    def refuse(*args):
+        raise OSError("pipe size refused")
+
+    monkeypatch.setattr(fcntl, "fcntl", refuse)
+    psi0, potential, ens, dt, chunk = _fed_case()
+    with OracleTimeline(psi0, potential, dt) as timeline:
+        got, _ = _stream(timeline, ens, dt, chunk, 4)
+    assert got == want
+    assert not forks
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_raise_inside_the_block_leaves_no_producer(monkeypatch):
+    forks = _on_cpus(monkeypatch, 2)
+    psi0, potential, ens, dt, chunk = _fed_case()
+    with pytest.raises(RuntimeError):
+        with OracleTimeline(psi0, potential, dt) as timeline:
+            timeline.at(3 * timeline.half_dt)
+            raise RuntimeError("inside the block")
+    assert len(forks) == 1
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_new_block_continues_from_the_last_state(monkeypatch):
+    want = _in_process()
+    forks = _on_cpus(monkeypatch, 2)
+    psi0, potential, ens, dt, chunk = _fed_case()
+    timeline = OracleTimeline(psi0, potential, dt)
+    with timeline:
+        got, ens = _stream(timeline, ens, dt, chunk, 2)
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    with timeline:
+        more, _ = _stream(timeline, ens, dt, chunk, 2, start=2)
+    assert got + more == want
+    assert len(forks) == 2
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_deferred_bands_equal_bootstrap_coarse_H(monkeypatch, cpus):
+    grid = GridSpec.centered((20.0, 20.0), (64, 64))
+    psi = WaveField(grid, np.outer(gaussian_packet(grid.axis_line(0), 2.0).values,
+                                   gaussian_packet(grid.axis_line(1), 1.5, momentum=0.7).values))
+    rng = np.random.default_rng(3)
+    ensembles = [TrajectoryEnsemble(grid=grid, positions=rng.normal(0.0, s, (400, 2)))
+                 for s in (1.0, 2.0, 3.0)]
+    # NaN positions lie in no bin
+    ensembles[1].positions[::7] = np.nan
+    want = [bootstrap_coarse_H(e, psi, 8, seed=500 + c) for c, e in enumerate(ensembles)]
+    forks = _on_cpus(monkeypatch, cpus)
+    kept = [ensemble_module._coarse_binned(e, psi, 8) for e in ensembles]
+    assert ensemble_module._bootstrap_bands(kept, [500, 501, 502]) == want
+    assert kept[0][2].dtype == np.uint8
+    assert len(forks) == cpus - 1
     with pytest.raises(ChildProcessError):
         os.waitpid(-1, os.WNOHANG)

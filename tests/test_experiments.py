@@ -688,3 +688,24 @@ def test_manifest_writer_names_every_non_finite_key(tmp_path):
                                           r"values\[1\], fitted_order"):
         experiments._write_json(tmp_path / "sweep_manifest.json", doc)
     assert not (tmp_path / "sweep_manifest.json").exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+def test_relaxation_is_identical_on_one_and_two_cpus(monkeypatch, tmp_path):
+    # on two CPUs a producer feeds the timeline and a worker takes half the
+    # bootstrap bands
+    cfg = ExperimentConfig.from_dict(
+        {"scenario": "relaxation", "n_trajectories": 500, "steps": 20, "checkpoints": 2})
+    runs = []
+    for cpus, want_forks in ((1, 0), (2, 2)):
+        forks = on_cpus(monkeypatch, cpus)
+        out = tmp_path / str(cpus)
+        manifest = run(cfg, out)
+        assert len(forks) == want_forks
+        doc = json.loads((out / "run_manifest.json").read_text())
+        del doc["wall_time_s"], doc["outputs"]
+        runs.append((doc, manifest.metrics, (out / "relaxation.csv").read_bytes()))
+    assert runs[0] == runs[1]
+    assert runs[0][2].count(b"\n") == 4
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)

@@ -204,6 +204,18 @@ class TestSplitStep2D:
         assert np.array_equal(stepped.psi.values, whole.psi.values)
         assert stepped.t == pytest.approx(whole.t)
 
+    def test_norm_check_counts_every_chunk(self, grid2):
+        # a 128^2 field is checked in two BLAS calls of 64 rows each; all
+        # of this state's mass lies in the second
+        values = self.packet(grid2).values.copy()
+        values[:64] = 0.0
+        state = WaveField(grid2, values).normalized()
+        harmonic = Potential.harmonic(grid2, 1.0)
+        split_step_evolve(PropagatorState(state, 0.0, 1e-3), harmonic, 1)
+        doubled = WaveField(grid2, 2.0 * state.values)
+        with pytest.raises(UnitarityError):
+            split_step_evolve(PropagatorState(doubled, 0.0, 1e-3), harmonic, 1)
+
     def test_one_step_equals_out_of_place_formula(self, grid2):
         harmonic = Potential.harmonic(grid2, 1.0)
         state = PropagatorState(self.packet(grid2), 0.0, 1e-3)
