@@ -403,19 +403,24 @@ class VelocityField:
 
 
 class _Timeline:
-    """The half-step lattice and velocity cache both timelines share.
+    """Psi on the half-step lattice, with its velocity cache.
 
     Entry j holds psi at j * half_dt: the times an RK4 step of dt = 2 half_dt
-    reads. Velocity fields are built lazily and the last _RK4_FIELDS built
-    stay cached, evicted first in, first out, so sequential access builds
-    each entry once. A subclass supplies entry j's field (_field).
+    reads. fields holds entries _first ... _first + len(fields) - 1: every
+    entry when stored, the last _RK4_FIELDS made when streaming (_field).
+    Velocity fields are built lazily and the last _RK4_FIELDS built stay
+    cached, evicted first in, first out, so sequential access builds each
+    entry once.
     """
 
-    def __init__(self, grid: GridSpec, half_dt: float, hbar: float, m: float):
+    def __init__(self, grid: GridSpec, half_dt: float, hbar: float, m: float,
+                 fields: list[WaveField]):
         self.grid = grid
         self.half_dt = half_dt
         self.hbar = hbar
         self.m = m
+        self.fields = fields
+        self._first = 0
         self._velocities: dict[int, VelocityField] = {}
 
     def index_of(self, t: float) -> int:
@@ -424,7 +429,16 @@ class _Timeline:
             raise ConfigError(f"time {t!r} does not align with the half-step lattice")
         return j
 
-    def _velocity(self, t: float) -> VelocityField:
+    def _field(self, j: int) -> WaveField:
+        if not 0 <= j - self._first < len(self.fields):
+            raise ConfigError(f"lattice entry {j} outside the held entries {self._first} "
+                              f"to {self._first + len(self.fields) - 1}")
+        return self.fields[j - self._first]
+
+    def at(self, t: float) -> WaveField:
+        return self._field(self.index_of(t))
+
+    def velocity(self, t: float) -> VelocityField:
         j = self.index_of(t)
         psi = self._field(j)
         if j not in self._velocities:
@@ -441,31 +455,20 @@ class WaveTimeline(_Timeline):
                  hbar: float = 1.0, m: float = 1.0):
         if len(fields) < 3:
             raise ConfigError("timeline needs at least three stored fields")
-        super().__init__(fields[0].grid, half_dt, hbar, m)
-        self.fields = fields
+        super().__init__(fields[0].grid, half_dt, hbar, m, fields)
 
     @classmethod
     def from_oracle(cls, psi0: WaveField, potential: Potential, dt: float,
                     steps: int, hbar: float = 1.0, m: float = 1.0) -> "WaveTimeline":
         """Evolve psi0 with the split-operator propagator at half the
-        trajectory step and store every state."""
-        state = PropagatorState(psi0, 0.0, dt / 2.0, hbar, m)
-        fields = [state.psi]
-        for _ in range(2 * steps):
-            state = split_step_evolve(state, potential, 1)
-            fields.append(state.psi)
-        return cls(dt / 2.0, fields, hbar, m)
+        trajectory step and store every state: entries 0 ... 2 steps of an
+        unfed OracleTimeline."""
+        stream = OracleTimeline(psi0, potential, dt, hbar, m)
+        return cls(dt / 2.0, [stream._field(j) for j in range(2 * steps + 1)], hbar, m)
 
-    def _field(self, j: int) -> WaveField:
-        if not 0 <= j < len(self.fields):
-            raise ConfigError(f"lattice entry {j} outside the {len(self.fields)} stored fields")
-        return self.fields[j]
-
-    def at(self, t: float) -> WaveField:
-        return self._field(self.index_of(t))
-
-    def velocity(self, t: float) -> VelocityField:
-        return self._velocity(t)
+    # bound by name on each public class, where qbench's tracer wraps them
+    at = _Timeline.at
+    velocity = _Timeline.velocity
 
 
 class OracleTimeline(_Timeline):
@@ -473,8 +476,7 @@ class OracleTimeline(_Timeline):
 
     Advances the split-operator propagator lazily on the same half-step
     lattice and keeps the latest _RK4_FIELDS fields. Time requests must move
-    forward (RK4 sub-stage order is fine); rewinding past them raises. The
-    split-step sequence is that of WaveTimeline.from_oracle.
+    forward (RK4 sub-stage order is fine); rewinding past them raises.
 
     Used as a context manager (`with OracleTimeline(...) as timeline:`) on
     two or more CPUs (_cpus()), it is fed: one forked producer runs the same
@@ -492,11 +494,9 @@ class OracleTimeline(_Timeline):
 
     def __init__(self, psi0: WaveField, potential: Potential, dt: float,
                  hbar: float = 1.0, m: float = 1.0):
-        super().__init__(potential.grid, dt / 2.0, hbar, m)
+        super().__init__(potential.grid, dt / 2.0, hbar, m, [psi0])
         self.potential = potential
         self._state = PropagatorState(psi0, 0.0, self.half_dt, hbar, m)
-        self._index = 0
-        self._fields: dict[int, WaveField] = {0: psi0}
         self._producer: dict = {}  # pid -> None while a producer feeds _pipe
         self._pipe = None
 
@@ -530,20 +530,16 @@ class OracleTimeline(_Timeline):
         return split_step_evolve(state, self.potential, 1)
 
     def _field(self, j: int) -> WaveField:
-        if j < min(self._fields):
-            raise ConfigError("streaming timeline cannot rewind; use WaveTimeline to replay")
-        while self._index < j:
+        while self._first + len(self.fields) <= j:
             self._state = self._step()
-            self._index += 1
-            self._fields[self._index] = self._state.psi
-            self._fields.pop(self._index - _RK4_FIELDS, None)
-        return self._fields[j]
+            self.fields.append(self._state.psi)
+            if len(self.fields) > _RK4_FIELDS:
+                del self.fields[0]
+                self._first += 1
+        return super()._field(j)
 
-    def at(self, t: float) -> WaveField:
-        return self._field(self.index_of(t))
-
-    def velocity(self, t: float) -> VelocityField:
-        return self._velocity(t)
+    at = _Timeline.at
+    velocity = _Timeline.velocity
 
 
 def _produce(state: PropagatorState, potential: Potential, pipe):

@@ -258,7 +258,7 @@ def _scenario_oracle_evolve(p: SimpleNamespace, outdir: Path):
         Criterion("energy_drift_rel", metrics["energy_drift_rel"],
                   p.tolerances.energy_drift_rel),
     ]
-    outputs = [str(write_field_csv(final.psi, outdir / "psi_final.csv"))]
+    outputs = [write_field_csv(final.psi, outdir / "psi_final.csv")]
     return metrics, criteria, outputs, 0
 
 
@@ -312,13 +312,11 @@ def _scenario_madelung_compare(p: SimpleNamespace, outdir: Path):
         Criterion("rho_l2_vs_oracle", rho_err, tol.rho_l2),
     ]
     outputs = [
-        str(_write_table(outdir / "residuals.csv",
-                         ["t", "r_continuity", "r_momentum"], rows)),
-        str(write_field_csv(state.rho, outdir / "rho_final.csv")),
-        str(write_field_csv(quantum_potential(state.rho, hbar, m),
-                            outdir / "quantum_potential.csv")),
+        _write_table(outdir / "residuals.csv", ["t", "r_continuity", "r_momentum"], rows),
+        write_field_csv(state.rho, outdir / "rho_final.csv"),
+        write_field_csv(quantum_potential(state.rho, hbar, m), outdir / "quantum_potential.csv"),
+        *write_vector_csv(state.v, outdir / "velocity.csv"),
     ]
-    outputs += [str(path) for path in write_vector_csv(state.v, outdir / "velocity.csv")]
     return metrics, criteria, outputs, 0
 
 
@@ -351,13 +349,12 @@ def _scenario_twofluid_verify(p: SimpleNamespace, outdir: Path):
         Criterion("fit_coefficient_rel_dev", coeff_dev, p.tolerances.coeff_dev),
     ]
     outputs = [
-        str(_write_table(outdir / "convergence.csv",
-                         ["delta_t", "N_micro", "D", "rel_err_vs_gradQ"],
-                         [[p.delta_t, p.n_micro, D, rel_err]])),
-        str(write_field_csv(quantum_potential(rho, hbar, m),
-                            outdir / "quantum_potential.csv")),
+        _write_table(outdir / "convergence.csv",
+                     ["delta_t", "N_micro", "D", "rel_err_vs_gradQ"],
+                     [[p.delta_t, p.n_micro, D, rel_err]]),
+        write_field_csv(quantum_potential(rho, hbar, m), outdir / "quantum_potential.csv"),
+        *write_vector_csv(acc, outdir / "averaged_acceleration.csv"),
     ]
-    outputs += [str(path) for path in write_vector_csv(acc, outdir / "averaged_acceleration.csv")]
     return metrics, criteria, outputs, 0
 
 
@@ -417,8 +414,8 @@ def _scenario_equivariance(p: SimpleNamespace, outdir: Path):
         for j in range(0, len(sample), max(1, steps // 32)):
             traj_rows.append([tid, j * dt, sample[j][tid]])
     outputs = [
-        str(_write_table(outdir / "equivariance.csv", ["t", "L1", "H_coarse"], rows)),
-        str(_write_table(outdir / "trajectories.csv", ["traj_id", "t", "x"], traj_rows)),
+        _write_table(outdir / "equivariance.csv", ["t", "L1", "H_coarse"], rows),
+        _write_table(outdir / "trajectories.csv", ["traj_id", "t", "x"], traj_rows),
     ]
     return metrics, criteria, outputs, capped_total
 
@@ -454,9 +451,9 @@ def _scenario_relaxation(p: SimpleNamespace, outdir: Path):
             kept.append(_coarse_binned(current, timeline.at((c + 1) * chunk * dt), cell))
     rows = []
     worst_excess = -np.inf
-    # the start and the first checkpoint both take seed 500
-    for c, (h, lo, hi) in enumerate(_bootstrap_bands(kept,
-                                                     [500, *range(500, 500 + p.checkpoints)])):
+    # the start takes seed 499 and checkpoint c seed 499 + c: no two bands
+    # compared share their resampled trajectory indices
+    for c, (h, lo, hi) in enumerate(_bootstrap_bands(kept, range(499, 500 + p.checkpoints))):
         if rows:
             increase = h - rows[-1][1]
             band = (hi - lo) / 2 + (rows[-1][3] - rows[-1][2]) / 2
@@ -475,10 +472,8 @@ def _scenario_relaxation(p: SimpleNamespace, outdir: Path):
         Criterion("decay_fraction", decay, p.tolerances.decay, ">="),
         Criterion("worst_increase_minus_band", worst_excess, 0.0),
     ]
-    outputs = [
-        str(_write_table(outdir / "relaxation.csv",
-                         ["t", "H_coarse", "boot_lo", "boot_hi"], rows)),
-    ]
+    outputs = [_write_table(outdir / "relaxation.csv", ["t", "H_coarse", "boot_lo", "boot_hi"],
+                            rows)]
     return metrics, criteria, outputs, capped
 
 
@@ -526,8 +521,8 @@ def _scenario_measurement(p: SimpleNamespace, outdir: Path):
         Criterion("lobe_deviation_closed", lobe_dev, tol.lobe_closed),
     ]
     outputs = [
-        str(write_field_csv(marg_single, outdir / "marginal_single.csv")),
-        str(write_field_csv(marg_pair, outdir / "marginal_pair.csv")),
+        write_field_csv(marg_single, outdir / "marginal_single.csv"),
+        write_field_csv(marg_pair, outdir / "marginal_pair.csv"),
     ]
 
     if p.run_brute:
@@ -546,7 +541,7 @@ def _scenario_measurement(p: SimpleNamespace, outdir: Path):
         brute_dev = max(abs(b_below - 0.5), abs(b_above - 0.5))
         metrics["lobe_deviation_brute"] = brute_dev
         criteria.append(Criterion("lobe_deviation_brute", brute_dev, tol.lobe_brute))
-        outputs.append(str(write_field_csv(bmarg, outdir / "marginal_brute.csv")))
+        outputs.append(write_field_csv(bmarg, outdir / "marginal_brute.csv"))
 
     return metrics, criteria, outputs, 0
 
@@ -610,10 +605,8 @@ def _scenario_conditional_pair(p: SimpleNamespace, outdir: Path):
         [0, j * dt, history[j, 0], history[j, 1]]
         for j in range(0, history.shape[0], max(1, steps // 64))
     ]
-    outputs = [
-        str(_write_table(outdir / "pair_history.csv",
-                         ["pair_id", "t", "x1", "x2"], hist_rows)),
-    ]
+    outputs = [_write_table(outdir / "pair_history.csv", ["pair_id", "t", "x1", "x2"],
+                            hist_rows)]
     return metrics, criteria, outputs, pair.capped_trajectories + int(sent[3])
 
 
@@ -844,16 +837,12 @@ def run(cfg: ExperimentConfig, outdir=None) -> RunManifest:
     outdir.mkdir(parents=True, exist_ok=True)
     started = time.perf_counter()
     metrics, criteria, outputs, capped = SCHEMAS[cfg.scenario].run(values, outdir)
-    relative = [
-        str(Path(p).relative_to(outdir)) if Path(p).is_absolute() else str(p)
-        for p in outputs
-    ]
     manifest = RunManifest(
         scenario=cfg.scenario,
         config=cfg.to_dict(),
         metrics={k: float(v) for k, v in metrics.items()},
         criteria=criteria,
-        outputs=sorted(relative),
+        outputs=sorted(str(path.relative_to(outdir)) for path in outputs),
         capping_events=capped,
         wall_time_s=time.perf_counter() - started,
     )

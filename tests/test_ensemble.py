@@ -759,12 +759,23 @@ def test_2d_one_point_lookup_writes_one_run_per_plane():
             assert np.array_equal(written, written[0] + np.arange(2 * line))
 
 
-def test_streaming_2d_fields_equal_stored_over_a_full_window():
-    grid = GridSpec.centered((24.0, 24.0), (128, 128))
-    line = grid.axis_line(0)
-    psi0 = WaveField(grid, np.outer(gaussian_packet(line, 1.0, momentum=1.0).values,
-                                    gaussian_packet(line, 1.3, momentum=-0.5).values))
-    potential = Potential.harmonic(grid, 1.0)
+def _moving_packet(dims):
+    """A packet that moves off the centre of a harmonic well, on a 128-point
+    axis (squared in 2D), with its potential."""
+    if dims == 1:
+        grid = GridSpec.centered(24.0, 128)
+        psi0 = gaussian_packet(grid, 1.0, momentum=1.0)
+    else:
+        grid = GridSpec.centered((24.0, 24.0), (128, 128))
+        line = grid.axis_line(0)
+        psi0 = WaveField(grid, np.outer(gaussian_packet(line, 1.0, momentum=1.0).values,
+                                        gaussian_packet(line, 1.3, momentum=-0.5).values))
+    return psi0, Potential.harmonic(grid, 1.0)
+
+
+@pytest.mark.parametrize("dims", [1, 2], ids=["1d", "2d"])
+def test_streaming_fields_equal_stored_over_a_full_window(dims):
+    psi0, potential = _moving_packet(dims)
     dt, steps = 0.02, 8
     stored = WaveTimeline.from_oracle(psi0, potential, dt, steps)
     streaming = OracleTimeline(psi0, potential, dt)
@@ -776,6 +787,33 @@ def test_streaming_2d_fields_equal_stored_over_a_full_window():
     assert len({id(f.values) for f in held}) == len(held)
 
 
+@pytest.mark.parametrize("dims", [1, 2], ids=["1d", "2d"])
+def test_from_oracle_takes_two_one_step_split_steps_per_step(monkeypatch, dims):
+    psi0, potential = _moving_packet(dims)
+    calls = []
+    split = ensemble_module.split_step_evolve
+
+    def counting(state, potential, steps):
+        calls.append(steps)
+        return split(state, potential, steps)
+
+    monkeypatch.setattr(ensemble_module, "split_step_evolve", counting)
+    timeline = WaveTimeline.from_oracle(psi0, potential, 0.02, 5)
+    assert calls == [1] * 10
+    assert len(timeline.fields) == 11
+
+
+def test_timeline_range_errors_name_the_held_entries(grid512, harmonic512):
+    psi0 = coherent_state(grid512, 1.0, 1.0)
+    stored = WaveTimeline.from_oracle(psi0, harmonic512, 0.02, 2)
+    with pytest.raises(ConfigError, match="lattice entry 5 outside the held entries 0 to 4"):
+        stored.at(0.05)
+    streaming = OracleTimeline(psi0, harmonic512, 0.02)
+    streaming.velocity(1.0)
+    with pytest.raises(ConfigError, match="lattice entry 0 outside the held entries 98 to 100"):
+        streaming.at(0.0)
+
+
 class _WatchedStream(OracleTimeline):
     """A streaming timeline that records the most fields and velocity
     fields it ever held at once."""
@@ -784,7 +822,7 @@ class _WatchedStream(OracleTimeline):
 
     def velocity(self, t):
         v = super().velocity(t)
-        self.held = max(self.held, len(self._fields), len(self._velocities))
+        self.held = max(self.held, len(self.fields), len(self._velocities))
         return v
 
 

@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -171,6 +172,33 @@ class TestRun:
         )
         run(cfg)
         assert (tmp_path / "sub" / "place" / "run_manifest.json").exists()
+
+    def test_manifest_outputs_do_not_depend_on_how_the_dir_is_given(self, tmp_path,
+                                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        docs = []
+        for outdir in (Path("rel"), tmp_path / "abs"):
+            run(fast_config(), outdir)
+            doc = json.loads((outdir / "run_manifest.json").read_text())
+            del doc["wall_time_s"]
+            docs.append(doc)
+        assert docs[0] == docs[1]
+        assert docs[0]["outputs"] == sorted(
+            ["convergence.csv", "quantum_potential.csv", "averaged_acceleration_x.csv"])
+
+    def test_relaxation_bands_take_distinct_seeds(self, tmp_path, monkeypatch):
+        seeds = []
+        bands = experiments._bootstrap_bands
+
+        def recording(kept, band_seeds, *args):
+            seeds.extend(band_seeds)
+            return bands(kept, band_seeds, *args)
+
+        monkeypatch.setattr(experiments, "_bootstrap_bands", recording)
+        run(ExperimentConfig.from_dict({"scenario": "relaxation", "n_trajectories": 200,
+                                        "steps": 12, "checkpoints": 3}), tmp_path)
+        assert len(seeds) == 4
+        assert len(set(seeds)) == len(seeds)
 
 
 class TestSweep:
